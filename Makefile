@@ -9,7 +9,7 @@ FUZZTIME ?= 10s
 # into the toolchain; bump deliberately alongside Go upgrades.
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: check ci build vet test race fmt-check staticcheck cover \
+.PHONY: check ci build vet test race fmt-check perfbench staticcheck cover \
 	fuzz-smoke bench-smoke bench bench-metrics bench-parallel \
 	bench-capture bench-compare bench-gate loadtest-gate loadtest-bless \
 	clean
@@ -19,7 +19,7 @@ STATICCHECK_VERSION ?= 2025.1.1
 check: ci
 
 ## ci: mirror of the GitHub workflow jobs, step for step.
-ci: vet fmt-check build test race fuzz-smoke staticcheck bench-gate loadtest-gate
+ci: vet fmt-check build test race perfbench fuzz-smoke staticcheck bench-gate loadtest-gate
 
 build:
 	$(GO) build ./...
@@ -34,6 +34,12 @@ test:
 
 race:
 	$(GO) test -race -shuffle=on ./...
+
+## perfbench: vet and test the benchmark module. It is a nested Go
+## module, so `go build ./...` above never compiles it; this step fails
+## when a refactor breaks a name the benchmark imports.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 ## fmt-check: fail when any file needs gofmt (CI's formatting gate).
 fmt-check:

@@ -1,16 +1,15 @@
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"math"
 	"os"
-	"strings"
 
 	"idlereduce/internal/ledger"
+	"idlereduce/internal/policy"
 	"idlereduce/internal/server"
 	"idlereduce/internal/textplot"
 )
@@ -42,53 +41,36 @@ func crCmd(args []string, stdin io.Reader, stdout io.Writer) error {
 	// the daemon kept — TTL effectively infinite, capacity generous.
 	led := ledger.New(ledger.Config{TTLMS: math.MaxInt64 / 2, Capacity: 1 << 20})
 
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	lineNo, unjoined := 0, 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
+	unjoined := 0
+	var issueErr error
+	_, err := server.ReadAudit(r, func(n int, rec any) {
+		if issueErr != nil {
+			return
 		}
-		var tag struct {
-			Kind string `json:"kind"`
-		}
-		if err := json.Unmarshal([]byte(line), &tag); err != nil {
-			// Crash tails and corrupt lines are audit verify's concern;
-			// the forensic join just skips what it cannot read.
-			continue
-		}
-		switch tag.Kind {
-		case "":
-			var rec server.AuditRecord
-			if err := json.Unmarshal([]byte(line), &rec); err != nil || rec.DecisionID == "" {
-				continue
+		// Crash tails, corrupt lines and observe records are audit
+		// verify's concern; the forensic join skips them.
+		switch rec := rec.(type) {
+		case server.AuditRecord:
+			if rec.DecisionID == "" {
+				return
 			}
-			// The live ledger keys accumulators by the engine spec
-			// ("name@vN"); the audit record carries name and version
-			// separately, so rebuild the same key.
-			engine := rec.Policy
-			if engine == "" {
-				engine = "constrained"
-			}
-			if rec.PolicyVersion > 0 {
-				engine = fmt.Sprintf("%s@v%d", engine, rec.PolicyVersion)
-			} else {
-				engine += "@v1"
+			// The live ledger keys accumulators by the serving engine's
+			// pinned spec. A record no registered engine can serve is
+			// left out; its settle then counts as unjoined.
+			eng, err := rec.Engine()
+			if err != nil {
+				return
 			}
 			if _, err := led.Issue(ledger.Pending{
-				ID: rec.DecisionID, Area: rec.Area, Engine: engine,
+				ID: rec.DecisionID, Area: rec.Area, Engine: policy.Spec(eng),
 				Params: rec.Params, B: rec.B, ThresholdSec: rec.ThresholdSec,
 				Bound: rec.CRBound, IssuedUnixMS: rec.TSUnixMS,
 			}); err != nil {
-				return fmt.Errorf("line %d: issue %s: %w", lineNo, rec.DecisionID, err)
+				issueErr = fmt.Errorf("line %d: issue %s: %w", n, rec.DecisionID, err)
 			}
-		case "settle":
-			var rec server.SettleRecord
-			if err := json.Unmarshal([]byte(line), &rec); err != nil {
-				continue
-			}
+		case server.SettleRecord:
+			// The settle re-joins through the ledger, so it is costed
+			// under eq. 3 whatever rule its record was written under.
 			if _, err := led.Settle(rec.DecisionID, rec.StopSec, rec.TSUnixMS); err != nil {
 				// A settle whose decide fell outside this log slice (file
 				// rotation, bounded writer drop) still counts; note it
@@ -96,9 +78,12 @@ func crCmd(args []string, stdin io.Reader, stdout io.Writer) error {
 				unjoined++
 			}
 		}
+	})
+	if err != nil {
+		return fmt.Errorf("read audit log: %w", err)
 	}
-	if err := sc.Err(); err != nil {
-		return err
+	if issueErr != nil {
+		return issueErr
 	}
 
 	rows := led.Rows()

@@ -109,15 +109,7 @@ func (p *Policy) Seen() int { return p.seen }
 func (p *Policy) Warm() bool { return p.seen >= p.cfg.Warmup }
 
 // Stats returns the current estimates (zero before any observation).
-func (p *Policy) Stats() skirental.Stats {
-	if p.wSum == 0 {
-		return skirental.Stats{}
-	}
-	return skirental.Stats{
-		MuBMinus: p.muSum / p.wSum,
-		QBPlus:   p.qSum / p.wSum,
-	}
-}
+func (p *Policy) Stats() skirental.Stats { return momentStats(p.wSum, p.muSum, p.qSum) }
 
 // Choice returns the currently selected vertex; N-Rand during warmup.
 func (p *Policy) Choice() skirental.Choice {
@@ -152,15 +144,7 @@ func (p *Policy) Observe(y float64) error {
 	if y < 0 || math.IsNaN(y) || math.IsInf(y, 0) {
 		return fmt.Errorf("%w: stop length %v", ErrConfig, y)
 	}
-	lam := p.cfg.Forgetting
-	p.wSum = lam*p.wSum + 1
-	p.muSum *= lam
-	p.qSum *= lam
-	if y > p.cfg.B {
-		p.qSum++
-	} else {
-		p.muSum += y
-	}
+	p.wSum, p.muSum, p.qSum = StepMoments(p.wSum, p.muSum, p.qSum, p.cfg.Forgetting, p.cfg.B, y)
 	p.seen++
 	if !p.Warm() {
 		return nil
@@ -196,24 +180,24 @@ func (p *Policy) Observe(y float64) error {
 // < i). It returns the accumulated online and offline costs in
 // break-even-normalized units.
 func (p *Policy) Run(stops []float64, rng *rand.Rand) (online, offline float64, err error) {
-	for _, y := range stops {
-		x := p.Threshold(rng)
-		online += skirental.OnlineCost(x, y, p.cfg.B)
-		offline += skirental.OfflineCost(y, p.cfg.B)
-		if err := p.Observe(y); err != nil {
-			return online, offline, err
-		}
-	}
-	return online, offline, nil
+	return run(stops, p.cfg.B, func(y float64) float64 {
+		return skirental.OnlineCost(p.Threshold(rng), y, p.cfg.B)
+	}, p.Observe)
 }
 
 // RunMean is Run with analytic per-stop expectations instead of sampled
 // thresholds (no Monte Carlo noise); useful for evaluation.
 func (p *Policy) RunMean(stops []float64) (online, offline float64, err error) {
+	return run(stops, p.cfg.B, p.MeanCostForStop, p.Observe)
+}
+
+// run is the play loop of every Run variant: pay cost(y) for each stop
+// against the offline min(y, b), then observe it.
+func run(stops []float64, b float64, cost func(y float64) float64, observe func(y float64) error) (online, offline float64, err error) {
 	for _, y := range stops {
-		online += p.MeanCostForStop(y)
-		offline += skirental.OfflineCost(y, p.cfg.B)
-		if err := p.Observe(y); err != nil {
+		online += cost(y)
+		offline += skirental.OfflineCost(y, b)
+		if err := observe(y); err != nil {
 			return online, offline, err
 		}
 	}

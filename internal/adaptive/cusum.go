@@ -164,13 +164,9 @@ func (dp *DriftPolicy) Observe(y float64) error {
 		dp.Drifts++
 		atStop := dp.Policy.seen
 		rec := dp.Policy.rec
-		// Restart estimation for the new regime.
-		fresh, err := New(dp.Policy.cfg)
-		if err != nil {
-			return err
-		}
-		*dp.Policy = *fresh
-		dp.Policy.rec = rec // the sink survives the regime reset
+		// Restart estimation for the new regime, back to the N-Rand
+		// warmup; the sink survives the regime reset.
+		*dp.Policy = Policy{cfg: dp.Policy.cfg, warm: dp.Policy.warm, rec: rec}
 		if rec.On() {
 			rec.Add("adaptive_cusum_alarm_total", 1)
 			rec.Set("adaptive_last_alarm_stop", float64(atStop))
@@ -186,13 +182,7 @@ func (dp *DriftPolicy) Observe(y float64) error {
 // Run plays the drift-resetting policy over a stop sequence (decision
 // before observation, as in Policy.Run).
 func (dp *DriftPolicy) Run(stops []float64, rng *rand.Rand) (online, offline float64, err error) {
-	for _, y := range stops {
-		x := dp.Threshold(rng)
-		online += skirental.OnlineCost(x, y, dp.B())
-		offline += skirental.OfflineCost(y, dp.B())
-		if err := dp.Observe(y); err != nil {
-			return online, offline, err
-		}
-	}
-	return online, offline, nil
+	return run(stops, dp.B(), func(y float64) float64 {
+		return skirental.OnlineCost(dp.Threshold(rng), y, dp.B())
+	}, dp.Observe)
 }

@@ -146,6 +146,15 @@ func StepMoments(wSum, muSum, qSum, forgetting, b, y float64) (w2, mu2, q2 float
 	return w2, mu2, q2
 }
 
+// momentStats derives the constrained estimates (mu_B-, q_B+) from the
+// weighted sufficient statistics; zero before any observation.
+func momentStats(wSum, muSum, qSum float64) skirental.Stats {
+	if wSum == 0 {
+		return skirental.Stats{}
+	}
+	return skirental.Stats{MuBMinus: muSum / wSum, QBPlus: qSum / wSum}
+}
+
 // Tracker is the streaming per-area estimator: exponentially-weighted
 // constrained moments plus a CUSUM drift detector on the capped stop
 // length. It is deliberately dumb about concurrency — the caller
@@ -182,13 +191,7 @@ func (t *Tracker) Warm() bool { return t.state.Seen >= int64(t.cfg.MinObservatio
 // observation). The pair is feasible by construction: every counted
 // short stop is at most B, so mu <= B·(1-q) always holds.
 func (t *Tracker) Stats() skirental.Stats {
-	if t.state.WSum == 0 {
-		return skirental.Stats{}
-	}
-	return skirental.Stats{
-		MuBMinus: t.state.MuSum / t.state.WSum,
-		QBPlus:   t.state.QSum / t.state.WSum,
-	}
+	return momentStats(t.state.WSum, t.state.MuSum, t.state.QSum)
 }
 
 // State exports the tracker for snapshotting.

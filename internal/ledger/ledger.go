@@ -5,9 +5,10 @@
 // A decision enters as a Pending entry (decision id, area, engine,
 // break-even interval B, the threshold actually drawn). When the
 // completed stop length y arrives with the same decision id, the entry
-// settles into a realized-cost record:
+// settles into a realized-cost record, the paper's eq. 3 and eq. 2
+// (skirental.OnlineCost and skirental.OfflineCost):
 //
-//	online = min(y, T) + B·1[y > T]   (idle until T, restart if exceeded)
+//	online = min(y, T) + B·1[y ≥ T]   (idle until T, restart once reached)
 //	opt    = min(y, B)                (the offline clairvoyant's cost)
 //
 // and streams into a per-{area, engine} accumulator of the empirical
@@ -31,6 +32,8 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"idlereduce/internal/skirental"
 )
 
 // Stable error classes; the server maps them to the wire codes
@@ -120,7 +123,10 @@ type Pending struct {
 	IssuedUnixMS int64 `json:"issued_unix_ms"`
 }
 
-func (p Pending) validate() error {
+// Validate checks the entry is one the ledger accepts: an id, an area
+// and engine, a positive finite break-even interval, and a finite
+// non-negative threshold, bound and issue time.
+func (p Pending) Validate() error {
 	if p.ID == "" {
 		return fmt.Errorf("ledger: pending entry has empty id")
 	}
@@ -152,7 +158,7 @@ type Key struct {
 type Outcome struct {
 	// Pending is the entry that settled.
 	Pending Pending
-	// Online and Opt are the realized costs (see RealizedCost).
+	// Online and Opt are the realized costs (eq. 3 and eq. 2).
 	Online float64
 	Opt    float64
 	// JoinMS is the decide-to-observe join latency in milliseconds.
@@ -178,20 +184,6 @@ type Counters struct {
 	Expired  uint64 `json:"expired"`
 	// Breaches counts breach-detector trips across all accumulators.
 	Breaches uint64 `json:"breaches"`
-}
-
-// RealizedCost computes the paper's realized cost pair for one settled
-// stop: the online policy idles until its threshold and pays the
-// restart B if the stop outlasts it; the offline optimum pays
-// min(y, B). Pure — the audit verifier replays settle records through
-// it bit-for-bit.
-func RealizedCost(b, threshold, stop float64) (online, opt float64) {
-	online = math.Min(stop, threshold)
-	if stop > threshold {
-		online += b
-	}
-	opt = math.Min(stop, b)
-	return online, opt
 }
 
 // accum is one {area, engine} empirical-CR accumulator: forgetting-
@@ -304,7 +296,7 @@ func (l *Ledger) shardFor(id string) *shard { return l.shards[idHash(id)&l.mask]
 // number of entries the insert evicted (TTL-expired heads plus any
 // capacity eviction), already counted into Counters.Expired.
 func (l *Ledger) Issue(p Pending) (int, error) {
-	if err := p.validate(); err != nil {
+	if err := p.Validate(); err != nil {
 		return 0, err
 	}
 	sh := l.shardFor(p.ID)
@@ -400,8 +392,12 @@ func (l *Ledger) Settle(id string, stopSec float64, nowMS int64) (Outcome, error
 	sh.rememberSettledLocked(id, l.cfg.Capacity)
 	sh.mu.Unlock()
 
-	online, opt := RealizedCost(p.B, p.ThresholdSec, stopSec)
-	out := Outcome{Pending: p, Online: online, Opt: opt, JoinMS: nowMS - p.IssuedUnixMS}
+	online := skirental.OnlineCost(p.ThresholdSec, stopSec, p.B)
+	opt := skirental.OfflineCost(stopSec, p.B)
+	// A clock stepped back, or an entry restored from a host whose
+	// clock ran ahead, can settle "before" its issue; the join latency
+	// floors at zero rather than going negative.
+	out := Outcome{Pending: p, Online: online, Opt: opt, JoinMS: max(0, nowMS-p.IssuedUnixMS)}
 
 	l.accMu.Lock()
 	key := Key{Area: p.Area, Engine: p.Engine}
@@ -599,7 +595,7 @@ func (s State) Empty() bool {
 func (s State) Validate() error {
 	seen := make(map[string]bool, len(s.Pending))
 	for _, p := range s.Pending {
-		if err := p.validate(); err != nil {
+		if err := p.Validate(); err != nil {
 			return err
 		}
 		if seen[p.ID] {

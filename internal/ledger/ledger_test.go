@@ -15,21 +15,35 @@ func pend(id string, ms int64) Pending {
 	}
 }
 
+// TestRealizedCost: a settle charges the paper's eq. 3 online cost and
+// eq. 2 offline cost, restart included when the stop reaches the
+// threshold exactly.
 func TestRealizedCost(t *testing.T) {
 	cases := []struct {
 		b, th, stop, online, opt float64
 	}{
 		{28, 10, 5, 5, 5},    // short stop: idle through, OPT idles too
-		{28, 10, 10, 10, 10}, // exactly at threshold: no restart (strict >)
+		{28, 10, 10, 38, 10}, // exactly at threshold: restart (eq. 3, y >= x)
 		{28, 10, 40, 38, 28}, // long stop: idle 10 + restart 28; OPT restarts
 		{28, 0, 7, 28, 7},    // immediate-off: pure restart cost
 		{28, 50, 40, 40, 28}, // threshold past B: online idles the whole stop
+		{28, 28, 28, 56, 28}, // DET on a B-second stop: 2B
+		{28, 0, 0, 28, 0},    // TOI on a zero-length stop: the restart alone
 	}
 	for i, c := range cases {
-		on, op := RealizedCost(c.b, c.th, c.stop)
-		if on != c.online || op != c.opt {
-			t.Errorf("case %d: RealizedCost(%v,%v,%v) = (%v,%v), want (%v,%v)",
-				i, c.b, c.th, c.stop, on, op, c.online, c.opt)
+		l := New(Config{})
+		p := pend("d-1", 0)
+		p.B, p.ThresholdSec = c.b, c.th
+		if _, err := l.Issue(p); err != nil {
+			t.Fatal(err)
+		}
+		out, err := l.Settle("d-1", c.stop, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Online != c.online || out.Opt != c.opt {
+			t.Errorf("case %d: settle(b=%v, threshold=%v, stop=%v) = (%v,%v), want (%v,%v)",
+				i, c.b, c.th, c.stop, out.Online, out.Opt, c.online, c.opt)
 		}
 	}
 }
@@ -58,6 +72,20 @@ func TestIssueSettleJoin(t *testing.T) {
 	}
 	if n := l.PendingCount(); n != 0 {
 		t.Errorf("pending %d after settle", n)
+	}
+
+	// A settle timed before its issue (the wall clock stepped back, or
+	// the entry was restored from a host whose clock ran ahead) joins
+	// with zero latency, never a negative one.
+	if _, err := l.Issue(pend("d-early", 1000)); err != nil {
+		t.Fatal(err)
+	}
+	early, err := l.Settle("d-early", 40, 900)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if early.JoinMS != 0 {
+		t.Errorf("settle before issue: join latency %d, want 0", early.JoinMS)
 	}
 }
 

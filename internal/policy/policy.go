@@ -212,6 +212,21 @@ func ResolveParams(e Parametric, params map[string]float64) (map[string]float64,
 	return out, nil
 }
 
+// Prepare prepares eng against s with resolved parameters (nil means
+// the engine's defaults): the one dispatch between Engine.Prepare and
+// Parametric.PrepareParams. Params on an engine that declares none
+// wrap ErrBadParams.
+func Prepare(eng Engine, s Stats, params map[string]float64) (Strategy, error) {
+	if len(params) == 0 {
+		return eng.Prepare(s)
+	}
+	pe, ok := eng.(Parametric)
+	if !ok {
+		return nil, fmt.Errorf("%w: engine %s accepts no params", ErrBadParams, eng.Name())
+	}
+	return pe.PrepareParams(s, params)
+}
+
 var (
 	regMu    sync.RWMutex
 	registry = map[string]Engine{}

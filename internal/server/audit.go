@@ -6,12 +6,14 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand/v2"
 	"strings"
 
 	"idlereduce/internal/adaptive"
 	"idlereduce/internal/ledger"
 	"idlereduce/internal/parallel"
 	"idlereduce/internal/policy"
+	"idlereduce/internal/skirental"
 )
 
 // AuditRecord is one line of the decision audit log: everything needed
@@ -77,10 +79,11 @@ const observeKind = "observe"
 const settleKind = "settle"
 
 // SettleRecord is one line of the ledger audit stream: a decision
-// joined to its realized stop. The realized cost pair is the pure
-// function ledger.RealizedCost of the recorded (b, threshold, stop),
-// so every record is independently re-derivable bit-for-bit — and the
-// whole CR table can be rebuilt from the log alone (`idlectl cr`).
+// joined to its realized stop. The realized cost pair is the paper's
+// eq. 2–3 (skirental.OnlineCost, skirental.OfflineCost) of the
+// recorded (b, threshold, stop), so every record is independently
+// re-derivable bit-for-bit — and the whole CR table can be rebuilt
+// from the log alone (`idlectl cr`).
 type SettleRecord struct {
 	// Kind is always "settle".
 	Kind     string `json:"kind"`
@@ -98,13 +101,18 @@ type SettleRecord struct {
 	ThresholdSec float64 `json:"threshold_sec"`
 	StopSec      float64 `json:"stop_sec"`
 	// OnlineCost and OptCost are the realized cost pair (replayed
-	// through ledger.RealizedCost on verification).
+	// through eq. 2–3 on verification).
 	OnlineCost float64 `json:"online_cost"`
 	OptCost    float64 `json:"opt_cost"`
 	// Bound is the engine's published worst-case CR the outcome was
 	// held against (0 = none); JoinMS the decide-to-observe latency.
 	Bound  float64 `json:"bound,omitempty"`
 	JoinMS int64   `json:"join_ms"`
+	// Eq3 marks a cost pair charged under eq. 3, which pays the restart
+	// once the stop reaches the threshold (y >= x). Records without it
+	// predate that tie fix; they replay under the strict y > x rule they
+	// were written with (strictOnlineCost), so old logs still verify.
+	Eq3 bool `json:"eq3,omitempty"`
 }
 
 // ObserveRecord is one line of the observation audit stream: the
@@ -207,90 +215,118 @@ const maxVerifyDetails = 10
 // return an error — verification failures are reported in the report.
 func VerifyAudit(rd io.Reader) (AuditVerifyReport, error) {
 	var rep AuditVerifyReport
-	sc := bufio.NewScanner(rd)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	badLine := ""
-	hasBad := false
-	lineNo := 0
 	// lastObserve chains each area's observe records: a record whose seq
 	// follows its predecessor must start from exactly the sums the
 	// predecessor ended with.
 	lastObserve := make(map[string]ObserveRecord)
+	truncated, err := ReadAudit(rd, func(lineNo int, rec any) {
+		var msg string
+		switch r := rec.(type) {
+		case AuditRecord:
+			if msg = replayRecord(r); msg != "" {
+				msg = fmt.Sprintf("line %d (%s/%s): %s", lineNo, r.VehicleID, r.Area, msg)
+			}
+		case ObserveRecord:
+			if msg = replayObserveRecord(r, lastObserve); msg != "" {
+				msg = fmt.Sprintf("line %d (observe %s#%d): %s", lineNo, r.Area, r.Seq, msg)
+			}
+			lastObserve[r.Area] = r
+		case SettleRecord:
+			if msg = replaySettleRecord(r); msg != "" {
+				msg = fmt.Sprintf("line %d (settle %s): %s", lineNo, r.DecisionID, msg)
+			}
+		case BadLine:
+			if r.Kind == "" {
+				rep.Corrupt++
+				rep.detail("line %d: undecodable record %.60q", lineNo, r.Text)
+				return
+			}
+			msg = fmt.Sprintf("line %d: unknown record kind %q", lineNo, r.Kind)
+		}
+		rep.Records++
+		if msg == "" {
+			rep.Matched++
+			return
+		}
+		rep.Mismatched++
+		rep.detail("%s", msg)
+	})
+	if err != nil {
+		return rep, fmt.Errorf("server: audit verify: %w", err)
+	}
+	rep.TruncatedTail = truncated
+	return rep, nil
+}
+
+// BadLine is an audit-log line ReadAudit cannot hand over as a record:
+// a well-formed line with an unknown Kind tag, or (Kind empty) the Text
+// of an undecodable line that has records after it.
+type BadLine struct {
+	Kind string
+	Text string
+}
+
+// ReadAudit is the one reader of the audit-log format, shared by
+// VerifyAudit and `idlectl cr`. It decodes the log line by line and
+// hands visit each line number with its record, dispatched on the kind
+// tag: an AuditRecord (decide records predate the tag and carry none),
+// an ObserveRecord, a SettleRecord, or a BadLine. An undecodable final
+// line is the expected shape of a crash mid-append; it is not visited
+// but reported by truncatedTail. Only I/O failures return an error.
+func ReadAudit(rd io.Reader, visit func(lineNo int, rec any)) (truncatedTail bool, err error) {
+	sc := bufio.NewScanner(rd)
+	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	var bad BadLine
+	badNo, lineNo := 0, 0
 	for sc.Scan() {
 		lineNo++
 		line := strings.TrimSpace(sc.Text())
 		if line == "" {
 			continue
 		}
-		if hasBad {
+		if badNo > 0 {
 			// The previous undecodable line was not the tail.
-			rep.Corrupt++
-			rep.detail("line %d: undecodable record %.60q", lineNo-1, badLine)
-			hasBad = false
+			visit(badNo, bad)
+			badNo = 0
 		}
-		// The log interleaves record kinds; peek the tag to dispatch.
-		// Decide records predate the tag and carry none.
-		var tag struct {
-			Kind string `json:"kind"`
-		}
-		if err := json.Unmarshal([]byte(line), &tag); err != nil {
-			badLine, hasBad = line, true
+		rec, err := decodeAuditLine([]byte(line))
+		if err != nil {
+			bad, badNo = BadLine{Text: line}, lineNo
 			continue
 		}
-		switch tag.Kind {
-		case "":
-			var rec AuditRecord
-			if err := json.Unmarshal([]byte(line), &rec); err != nil {
-				badLine, hasBad = line, true
-				continue
-			}
-			rep.Records++
-			if msg := replayRecord(rec); msg != "" {
-				rep.Mismatched++
-				rep.detail("line %d (%s/%s): %s", lineNo, rec.VehicleID, rec.Area, msg)
-			} else {
-				rep.Matched++
-			}
-		case observeKind:
-			var rec ObserveRecord
-			if err := json.Unmarshal([]byte(line), &rec); err != nil {
-				badLine, hasBad = line, true
-				continue
-			}
-			rep.Records++
-			if msg := replayObserveRecord(rec, lastObserve); msg != "" {
-				rep.Mismatched++
-				rep.detail("line %d (observe %s#%d): %s", lineNo, rec.Area, rec.Seq, msg)
-			} else {
-				rep.Matched++
-			}
-			lastObserve[rec.Area] = rec
-		case settleKind:
-			var rec SettleRecord
-			if err := json.Unmarshal([]byte(line), &rec); err != nil {
-				badLine, hasBad = line, true
-				continue
-			}
-			rep.Records++
-			if msg := replaySettleRecord(rec); msg != "" {
-				rep.Mismatched++
-				rep.detail("line %d (settle %s): %s", lineNo, rec.DecisionID, msg)
-			} else {
-				rep.Matched++
-			}
-		default:
-			rep.Records++
-			rep.Mismatched++
-			rep.detail("line %d: unknown record kind %q", lineNo, tag.Kind)
-		}
+		visit(lineNo, rec)
 	}
 	if err := sc.Err(); err != nil {
-		return rep, fmt.Errorf("server: audit verify: %w", err)
+		return false, err
 	}
-	if hasBad {
-		rep.TruncatedTail = true
+	return badNo > 0, nil
+}
+
+// decodeAuditLine decodes one audit-log line into the record type its
+// kind tag names.
+func decodeAuditLine(line []byte) (any, error) {
+	var tag struct {
+		Kind string `json:"kind"`
 	}
-	return rep, nil
+	if err := json.Unmarshal(line, &tag); err != nil {
+		return nil, err
+	}
+	switch tag.Kind {
+	case "":
+		return decodeAs[AuditRecord](line)
+	case observeKind:
+		return decodeAs[ObserveRecord](line)
+	case settleKind:
+		return decodeAs[SettleRecord](line)
+	}
+	return BadLine{Kind: tag.Kind}, nil
+}
+
+// decodeAs decodes one line as a T.
+func decodeAs[T any](line []byte) (any, error) {
+	var rec T
+	err := json.Unmarshal(line, &rec)
+	return rec, err
 }
 
 // detail appends one bounded failure description.
@@ -369,28 +405,22 @@ func replayObserveRecord(rec ObserveRecord, last map[string]ObserveRecord) strin
 // identical. The realized cost pair is a pure function of the recorded
 // inputs, so replay needs no engine and no state.
 func replaySettleRecord(rec SettleRecord) string {
-	if rec.DecisionID == "" {
-		return "missing decision id"
-	}
-	if rec.Area == "" || rec.Engine == "" {
-		return "missing area or engine"
-	}
-	if rec.B <= 0 || math.IsNaN(rec.B) || math.IsInf(rec.B, 0) {
-		return fmt.Sprintf("break-even interval %v is not positive finite", rec.B)
-	}
-	if rec.ThresholdSec < 0 || math.IsNaN(rec.ThresholdSec) || math.IsInf(rec.ThresholdSec, 0) {
-		return fmt.Sprintf("threshold %v is not finite non-negative", rec.ThresholdSec)
+	// The pending half must be an entry the ledger accepts.
+	p := ledger.Pending{ID: rec.DecisionID, Area: rec.Area, Engine: rec.Engine,
+		B: rec.B, ThresholdSec: rec.ThresholdSec, Bound: rec.Bound}
+	if err := p.Validate(); err != nil {
+		return err.Error()
 	}
 	if rec.StopSec < 0 || math.IsNaN(rec.StopSec) || math.IsInf(rec.StopSec, 0) {
 		return fmt.Sprintf("stop length %v is not finite non-negative", rec.StopSec)
 	}
-	if rec.Bound < 0 || math.IsNaN(rec.Bound) || math.IsInf(rec.Bound, 0) {
-		return fmt.Sprintf("bound %v is not finite non-negative", rec.Bound)
-	}
 	if rec.JoinMS < 0 {
 		return fmt.Sprintf("join latency %d is negative", rec.JoinMS)
 	}
-	online, opt := ledger.RealizedCost(rec.B, rec.ThresholdSec, rec.StopSec)
+	online, opt := skirental.OnlineCost(rec.ThresholdSec, rec.StopSec, rec.B), skirental.OfflineCost(rec.StopSec, rec.B)
+	if !rec.Eq3 {
+		online = strictOnlineCost(rec.B, rec.ThresholdSec, rec.StopSec)
+	}
 	if math.Float64bits(online) != math.Float64bits(rec.OnlineCost) ||
 		math.Float64bits(opt) != math.Float64bits(rec.OptCost) {
 		return fmt.Sprintf("costs (%v, %v) replayed as (%v, %v)",
@@ -399,51 +429,52 @@ func replaySettleRecord(rec SettleRecord) string {
 	return ""
 }
 
-// replayRecord re-derives one decision; empty string means identical.
+// Engine resolves the engine that served the record: the registered
+// engine of the recorded name ("" is the constrained default), refused
+// when the record was written by another version of it.
+func (rec AuditRecord) Engine() (policy.Engine, error) {
+	eng, err := policy.Lookup(rec.Policy)
+	if err != nil {
+		return nil, fmt.Errorf("engine %q is not replayable: %w", rec.Policy, err)
+	}
+	if rec.PolicyVersion != 0 && rec.PolicyVersion != eng.Version() {
+		return nil, fmt.Errorf("engine %s recorded at v%d, registered is v%d (version drift)",
+			eng.Name(), rec.PolicyVersion, eng.Version())
+	}
+	return eng, nil
+}
+
+// strictOnlineCost is the online cost of settle records written before
+// the Eq3 marker: the restart was charged only when the stop outlasted
+// the threshold, so a stop ending exactly at it cost the threshold
+// alone. It replays those records and nothing else.
+func strictOnlineCost(b, threshold, stop float64) float64 {
+	if stop > threshold {
+		return threshold + b
+	}
+	return math.Min(stop, threshold)
+}
+
+// replayRecord re-derives one decision through the serving decision
+// core; empty string means identical.
 func replayRecord(rec AuditRecord) string {
 	stream := requestStream(rec.VehicleID, rec.Area, rec.B)
 	if stream != rec.Stream {
 		return fmt.Sprintf("stream %d does not re-derive (got %d)", rec.Stream, stream)
 	}
-	eng, err := policy.Lookup(rec.Policy)
+	eng, err := rec.Engine()
 	if err != nil {
-		return fmt.Sprintf("engine %q is not replayable: %v", rec.Policy, err)
+		return err.Error()
 	}
-	if rec.PolicyVersion != 0 && rec.PolicyVersion != eng.Version() {
-		return fmt.Sprintf("engine %s recorded at v%d, registered is v%d (version drift)",
-			eng.Name(), rec.PolicyVersion, eng.Version())
-	}
-	stats := policy.Stats{B: rec.B, Mu: rec.Mu, Q: rec.Q}
-	var prep policy.Strategy
-	if len(rec.Params) > 0 {
-		pe, ok := eng.(policy.Parametric)
-		if !ok {
-			return fmt.Sprintf("engine %s accepts no params but record carries %v", eng.Name(), rec.Params)
+	dec, _, _, apiErr := draw(eng, rec.Params, rec.Prediction, func(params map[string]float64) (policy.Strategy, *rand.Rand, *APIError) {
+		prep, err := policy.Prepare(eng, policy.Stats{B: rec.B, Mu: rec.Mu, Q: rec.Q}, params)
+		if err != nil {
+			return nil, nil, &APIError{Code: "invalid_stats", Message: err.Error()}
 		}
-		resolved, rerr := policy.ResolveParams(pe, rec.Params)
-		if rerr != nil {
-			return fmt.Sprintf("recorded params invalid on replay: %v", rerr)
-		}
-		prep, err = pe.PrepareParams(stats, resolved)
-	} else {
-		prep, err = eng.Prepare(stats)
-	}
-	if err != nil {
-		return fmt.Sprintf("recorded stats infeasible on replay: %v", err)
-	}
-	var dec policy.Decision
-	if rec.Prediction != nil {
-		p, perr := rec.Prediction.toPrediction()
-		if perr != nil {
-			return fmt.Sprintf("recorded prediction invalid on replay: %v", perr)
-		}
-		adv, ok := prep.(policy.Advised)
-		if !ok {
-			return fmt.Sprintf("engine %s does not accept predictions but record carries one", eng.Name())
-		}
-		dec = adv.DecideAdvised(parallel.RNG(rec.Seed, stream), p)
-	} else {
-		dec = prep.Decide(parallel.RNG(rec.Seed, stream))
+		return prep, parallel.RNG(rec.Seed, stream), nil
+	})
+	if apiErr != nil {
+		return fmt.Sprintf("recorded decision rejected on replay (%s): %s", apiErr.Code, apiErr.Message)
 	}
 	if dec.Choice != rec.Choice {
 		return fmt.Sprintf("choice %s replayed as %s", rec.Choice, dec.Choice)

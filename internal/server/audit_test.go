@@ -340,3 +340,84 @@ func TestGeneratedRequestIDsUnique(t *testing.T) {
 		seen[id] = true
 	}
 }
+
+// preEq3Log is an audit log written by the server before settle records
+// carried the eq3 marker: decides on all four engines (custom B, params,
+// predictions), plain observes, and settles, two of them ties (DET on a
+// 28 s stop, TOI on a zero-length stop) charged under the strict y > x
+// rule of the time.
+const preEq3Log = "testdata/audit_pre_eq3.jsonl"
+
+// TestVerifyAuditPreEq3Log: a log written before the eq. 3 tie fix still
+// verifies, while an old tie cost under the new marker is a mismatch —
+// the marker, not the cost, decides which rule a settle replays under.
+func TestVerifyAuditPreEq3Log(t *testing.T) {
+	data, err := os.ReadFile(preEq3Log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	engines := map[string]bool{}
+	var customB, params, predictions, observes, ties int
+	var detTie string
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		rec, err := decodeAuditLine([]byte(line))
+		if err != nil {
+			t.Fatalf("fixture line %q: %v", line, err)
+		}
+		switch r := rec.(type) {
+		case AuditRecord:
+			engines[r.Policy] = true
+			if r.B != 28 {
+				customB++
+			}
+			if len(r.Params) > 0 {
+				params++
+			}
+			if r.Prediction != nil {
+				predictions++
+			}
+		case ObserveRecord:
+			observes++
+		case SettleRecord:
+			if r.Eq3 {
+				t.Fatalf("fixture settle %s carries the eq3 marker", r.DecisionID)
+			}
+			if r.StopSec == r.ThresholdSec {
+				ties++
+				if r.ThresholdSec == r.B {
+					detTie = line
+				}
+			}
+		}
+	}
+	if len(engines) != 4 || customB == 0 || params == 0 || predictions == 0 || observes == 0 || ties < 2 || detTie == "" {
+		t.Fatalf("fixture coverage: engines %v, custom B %d, params %d, predictions %d, observes %d, ties %d",
+			engines, customB, params, predictions, observes, ties)
+	}
+
+	rep, err := VerifyAudit(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Mismatched != 0 || rep.Corrupt != 0 || rep.Matched != rep.Records {
+		t.Fatalf("pre-eq3 log: %s", rep.String())
+	}
+
+	// The DET tie under the marker must carry the eq. 3 cost, 2B.
+	marked := strings.TrimSuffix(detTie, "}") + `,"eq3":true}`
+	for _, c := range []struct {
+		line       string
+		mismatched int
+	}{
+		{marked, 1},
+		{strings.Replace(marked, `"online_cost":28,`, `"online_cost":56,`, 1), 0},
+	} {
+		rep, err := VerifyAudit(strings.NewReader(c.line + "\n"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Records != 1 || rep.Mismatched != c.mismatched {
+			t.Errorf("marked tie %s: %s", c.line, rep.String())
+		}
+	}
+}

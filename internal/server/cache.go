@@ -276,7 +276,7 @@ func newCacheFromRecs(recs []*areaRec, eager []policy.Engine, shards int) (*Cach
 		sn := snaps[areaHash(rec.state.ID)&c.mask]
 		sn.areas[rec.state.ID] = rec
 		for _, eng := range engines {
-			st, err := prepare(rec, eng)
+			st, err := prepare(rec, eng, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -309,27 +309,10 @@ func (c *Cache) shardFor(id string) *shard {
 	return c.shards[areaHash(id)&c.mask]
 }
 
-// prepare builds one cache entry with the default parameterization.
-func prepare(rec *areaRec, eng policy.Engine) (*strategy, error) {
-	return prepareWith(rec, eng, nil)
-}
-
-// prepareWith builds one cache entry with resolved engine parameters
-// (nil = defaults). Params against an engine that declares none wrap
-// policy.ErrBadParams.
-func prepareWith(rec *areaRec, eng policy.Engine, params map[string]float64) (*strategy, error) {
-	var prep policy.Strategy
-	var err error
-	if len(params) > 0 {
-		pe, ok := eng.(policy.Parametric)
-		if !ok {
-			return nil, fmt.Errorf("server: area %s: engine %s: %w: engine accepts no params",
-				rec.state.ID, eng.Name(), policy.ErrBadParams)
-		}
-		prep, err = pe.PrepareParams(rec.state.PolicyStats(0), params)
-	} else {
-		prep, err = eng.Prepare(rec.state.PolicyStats(0))
-	}
+// prepare builds one cache entry with resolved engine parameters (nil =
+// defaults).
+func prepare(rec *areaRec, eng policy.Engine, params map[string]float64) (*strategy, error) {
+	prep, err := policy.Prepare(eng, rec.state.PolicyStats(0), params)
 	if err != nil {
 		return nil, fmt.Errorf("server: area %s: engine %s: %w", rec.state.ID, eng.Name(), err)
 	}
@@ -356,20 +339,15 @@ func (c *Cache) Get(id string) (*strategy, bool) {
 	return st, ok
 }
 
-// Strategy returns the prepared strategy of (area, engine) at the
-// area's default break-even and default parameterization. Eager
-// engines always hit; other engines prepare lazily on first use,
-// publish copy-on-write on their shard, and hit from then on. An
-// engine that cannot serve the area's statistics returns the prepare
-// error (wrapping policy.ErrInfeasible) without caching the failure.
-func (c *Cache) Strategy(rec *areaRec, eng policy.Engine) (*strategy, error) {
-	return c.StrategyParams(rec, eng, nil)
-}
-
-// StrategyParams is Strategy with resolved engine parameters in the
-// cache key: each distinct parameterization of an engine is its own
-// lazily-filled entry, invalidated like any other lazy entry when the
-// area's statistics change.
+// StrategyParams returns the prepared strategy of (area, engine) at the
+// area's default break-even interval, with resolved engine parameters
+// (nil = defaults) in the cache key. The default parameterization of
+// the eager engines always hits; anything else prepares lazily on
+// first use, publishes copy-on-write on its shard, hits from then on,
+// and is invalidated like any lazy entry when the area's statistics
+// change. An engine that cannot serve the area's statistics returns
+// the prepare error (wrapping policy.ErrInfeasible) without caching
+// the failure.
 func (c *Cache) StrategyParams(rec *areaRec, eng policy.Engine, params map[string]float64) (*strategy, error) {
 	sh := c.shardFor(rec.state.ID)
 	key := Key{Area: rec.state.ID, Engine: eng.Name(), Params: paramsHash(rec.state.B, params)}
@@ -389,7 +367,7 @@ func (c *Cache) StrategyParams(rec *areaRec, eng policy.Engine, params map[strin
 	if st, ok := sn.entries[key]; ok && st.rec == cur {
 		return st, nil
 	}
-	st, err := prepareWith(cur, eng, params)
+	st, err := prepare(cur, eng, params)
 	if err != nil {
 		return nil, err
 	}
@@ -450,7 +428,7 @@ func (c *Cache) prepareEager(rec *areaRec) (*strategy, []*strategy, error) {
 	fresh := make([]*strategy, 0, len(c.eager))
 	var def *strategy
 	for _, eng := range c.eager {
-		st, err := prepare(rec, eng)
+		st, err := prepare(rec, eng, nil)
 		if err != nil {
 			return nil, nil, err
 		}

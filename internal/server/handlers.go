@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"math/rand/v2"
 	"net/http"
 	"strings"
 	"time"
@@ -48,17 +49,50 @@ func policyLookupError(err error) *APIError {
 	return &APIError{Code: code, Message: err.Error(), Status: http.StatusBadRequest}
 }
 
-// prepareStandalone prepares a strategy outside the cache (the custom-B
-// path), honoring resolved engine parameters when present.
-func prepareStandalone(eng policy.Engine, s policy.Stats, params map[string]float64) (policy.Strategy, error) {
-	if len(params) > 0 {
+// draw is the decision core shared by Server.decide (single and batch)
+// and audit replay. It resolves the raw engine params, decodes the
+// prediction block, prepares the strategy and seeds its draw through
+// prepare, then draws the decision: through DecideAdvised when a
+// prediction is present, Decide otherwise. Params resolve before
+// prepare runs, so every cache key carries validated, default-filled
+// parameters. It returns the decision, the strategy that drew it and
+// the resolved params (nil for the defaults). Failures are the wire
+// errors decide sends, in decide's order of precedence.
+func draw(eng policy.Engine, raw map[string]float64, block *PredictionBlock,
+	prepare func(params map[string]float64) (policy.Strategy, *rand.Rand, *APIError),
+) (policy.Decision, policy.Strategy, map[string]float64, *APIError) {
+	var params map[string]float64
+	if len(raw) > 0 {
 		pe, ok := eng.(policy.Parametric)
 		if !ok {
-			return nil, fmt.Errorf("%w: engine %s accepts no params", policy.ErrBadParams, eng.Name())
+			return policy.Decision{}, nil, nil, &APIError{Code: "invalid_policy_params",
+				Message: fmt.Sprintf("engine %s accepts no params", policy.Spec(eng)), Status: http.StatusBadRequest}
 		}
-		return pe.PrepareParams(s, params)
+		var err error
+		if params, err = policy.ResolveParams(pe, raw); err != nil {
+			return policy.Decision{}, nil, nil, &APIError{Code: "invalid_policy_params", Message: err.Error(), Status: http.StatusBadRequest}
+		}
 	}
-	return eng.Prepare(s)
+	var pred predict.Prediction
+	if block != nil {
+		var err error
+		if pred, err = block.toPrediction(); err != nil {
+			return policy.Decision{}, nil, nil, &APIError{Code: "invalid_prediction", Message: err.Error(), Status: http.StatusBadRequest}
+		}
+	}
+	prep, rng, apiErr := prepare(params)
+	if apiErr != nil {
+		return policy.Decision{}, nil, nil, apiErr
+	}
+	if block == nil {
+		return prep.Decide(rng), prep, params, nil
+	}
+	adv, ok := prep.(policy.Advised)
+	if !ok {
+		return policy.Decision{}, nil, nil, &APIError{Code: "invalid_prediction",
+			Message: fmt.Sprintf("engine %s does not accept predictions", policy.Spec(eng)), Status: http.StatusBadRequest}
+	}
+	return adv.DecideAdvised(rng, pred), prep, params, nil
 }
 
 // enginePrepareError maps an Engine.Prepare failure. The default
@@ -116,83 +150,62 @@ func (s *Server) decide(ctx context.Context, req DecideRequest, defaultSeed uint
 			return nil, policyLookupError(err)
 		}
 	}
-	// Resolve engine params before touching the cache so every cache
-	// key carries validated, default-filled parameters — one canonical
-	// map per semantic parameterization.
-	var params map[string]float64
-	if len(req.Params) > 0 {
-		pe, ok := eng.(policy.Parametric)
-		if !ok {
-			return nil, &APIError{Code: "invalid_policy_params",
-				Message: fmt.Sprintf("engine %s accepts no params", policy.Spec(eng)), Status: http.StatusBadRequest}
-		}
-		resolved, err := policy.ResolveParams(pe, req.Params)
-		if err != nil {
-			return nil, &APIError{Code: "invalid_policy_params", Message: err.Error(), Status: http.StatusBadRequest}
-		}
-		params = resolved
-	}
-	var pred *predict.Prediction
-	if req.Prediction != nil {
-		p, err := req.Prediction.toPrediction()
-		if err != nil {
-			return nil, &APIError{Code: "invalid_prediction", Message: err.Error(), Status: http.StatusBadRequest}
-		}
-		pred = &p
-	}
-	rec, ok := s.cache.Area(req.Area)
-	if !ok {
-		return nil, &APIError{Code: "unknown_area", Message: fmt.Sprintf("unknown area %q", req.Area), Status: http.StatusNotFound}
-	}
-	// Per-area latency attribution: the area record carries its
-	// pre-formatted metric names, so the hot path pays two map lookups
-	// and a clock read, never a label format.
-	t0 := time.Now()
-
-	// Cache hit: the request uses the area's default break-even
-	// interval, so the (area, engine) strategy comes from the
-	// precomputed cache keyspace. A custom B prepares a fresh strategy
-	// from the same statistics.
-	b := req.B
-	cached := b == 0 || b == rec.state.B
-	sh := s.cache.shardFor(rec.state.ID)
-	var prep policy.Strategy
-	if cached {
-		b = rec.state.B
-		entry, err := s.cache.StrategyParams(rec, eng, params)
-		if err != nil {
-			return nil, enginePrepareError(eng, rec.state.ID, b, err)
-		}
-		prep = entry.prep
-		s.rec.Add("decide_cache_hits_total", 1)
-		s.rec.Add(sh.hitMetric, 1)
-	} else {
-		s.rec.Add("decide_cache_misses_total", 1)
-		s.rec.Add(sh.missMetric, 1)
-		p, err := prepareStandalone(eng, rec.state.PolicyStats(b), params)
-		if err != nil {
-			return nil, enginePrepareError(eng, rec.state.ID, b, err)
-		}
-		prep = p
-	}
-
 	seed := req.Seed
 	if seed == 0 {
 		seed = defaultSeed
 	}
-	stream := requestStream(req.VehicleID, rec.state.ID, b)
-	rng := parallel.RNG(seed, stream)
-	var dec policy.Decision
-	if pred != nil {
-		adv, ok := prep.(policy.Advised)
-		if !ok {
-			return nil, &APIError{Code: "invalid_prediction",
-				Message: fmt.Sprintf("engine %s does not accept predictions", policy.Spec(eng)), Status: http.StatusBadRequest}
+	// The area, break-even interval and stream are settled inside the
+	// prepare step, so a bad param or prediction outranks unknown_area.
+	var (
+		rec    *areaRec
+		b      float64
+		cached bool
+		stream uint64
+		t0     time.Time
+	)
+	dec, prep, params, apiErr := draw(eng, req.Params, req.Prediction, func(params map[string]float64) (policy.Strategy, *rand.Rand, *APIError) {
+		var ok bool
+		if rec, ok = s.cache.Area(req.Area); !ok {
+			return nil, nil, &APIError{Code: "unknown_area", Message: fmt.Sprintf("unknown area %q", req.Area), Status: http.StatusNotFound}
 		}
-		dec = adv.DecideAdvised(rng, *pred)
+		// Per-area latency attribution: the area record carries its
+		// pre-formatted metric names, so the hot path pays two map
+		// lookups and a clock read, never a label format.
+		t0 = time.Now()
+
+		// Cache hit: the request uses the area's default break-even
+		// interval, so the (area, engine) strategy comes from the
+		// precomputed cache keyspace. A custom B prepares a fresh
+		// strategy from the same statistics.
+		b = req.B
+		cached = b == 0 || b == rec.state.B
+		sh := s.cache.shardFor(rec.state.ID)
+		var prep policy.Strategy
+		var err error
+		if cached {
+			b = rec.state.B
+			var entry *strategy
+			if entry, err = s.cache.StrategyParams(rec, eng, params); err == nil {
+				prep = entry.prep
+				s.rec.Add("decide_cache_hits_total", 1)
+				s.rec.Add(sh.hitMetric, 1)
+			}
+		} else {
+			s.rec.Add("decide_cache_misses_total", 1)
+			s.rec.Add(sh.missMetric, 1)
+			prep, err = policy.Prepare(eng, rec.state.PolicyStats(b), params)
+		}
+		if err != nil {
+			return nil, nil, enginePrepareError(eng, rec.state.ID, b, err)
+		}
+		stream = requestStream(req.VehicleID, rec.state.ID, b)
+		return prep, parallel.RNG(seed, stream), nil
+	})
+	if apiErr != nil {
+		return nil, apiErr
+	}
+	if req.Prediction != nil {
 		s.rec.Add("decide_prediction_total", 1)
-	} else {
-		dec = prep.Decide(rng)
 	}
 
 	if s.cfg.testDelay > 0 {
@@ -407,7 +420,7 @@ func (s *Server) handleAreas(w http.ResponseWriter, r *http.Request) {
 	recs := s.cache.Areas()
 	resp := AreasResponse{Areas: make([]AreaInfo, 0, len(recs))}
 	for _, rec := range recs {
-		st, err := s.cache.Strategy(rec, eng)
+		st, err := s.cache.StrategyParams(rec, eng, nil)
 		if err != nil {
 			resp.Areas = append(resp.Areas, AreaInfo{
 				ID:      rec.state.ID,

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"idlereduce/internal/ledger"
+	"idlereduce/internal/skirental"
 )
 
 // ledgerDecide opts one decide into the ledger and returns the reply.
@@ -140,7 +141,7 @@ func TestObserveSettlesDecision(t *testing.T) {
 	if !obs.Settled {
 		t.Fatalf("observe did not settle: %+v", obs)
 	}
-	wantOnline, wantOpt := ledger.RealizedCost(dec.B, dec.ThresholdSec, stop)
+	wantOnline, wantOpt := skirental.OnlineCost(dec.ThresholdSec, stop, dec.B), skirental.OfflineCost(stop, dec.B)
 	if obs.OnlineCost != wantOnline || obs.OptCost != wantOpt {
 		t.Errorf("realized costs (%v, %v), want (%v, %v)", obs.OnlineCost, obs.OptCost, wantOnline, wantOpt)
 	}
@@ -185,6 +186,21 @@ func TestObserveSettlesDecision(t *testing.T) {
 	table = crTable(t, ts.URL)
 	if table.Counters.Orphaned != 1 {
 		t.Errorf("orphaned %d, want 1", table.Counters.Orphaned)
+	}
+}
+
+// TestSettleTieChargesRestart: eq. 3 charges the restart when the stop
+// reaches the threshold, so DET (threshold B) on a B-second stop costs
+// 2B online against B offline.
+func TestSettleTieChargesRestart(t *testing.T) {
+	_, ts := newTestServer(t, nil)
+	dec := ledgerDecide(t, ts.URL, "v-tie", "chicago")
+	if dec.Choice != "DET" || dec.ThresholdSec != 28 || dec.B != 28 {
+		t.Fatalf("chicago decide %+v, want DET at threshold 28 with b 28", dec)
+	}
+	obs := ledgerObserve(t, ts.URL, "chicago", dec.DecisionID, 28)
+	if obs.OnlineCost != 56 || obs.OptCost != 28 {
+		t.Errorf("DET on a 28 s stop settled at (%v, %v), want (56, 28)", obs.OnlineCost, obs.OptCost)
 	}
 }
 
@@ -234,11 +250,12 @@ func TestCRBreachOnAdversarialTrace(t *testing.T) {
 		c.Ledger = ledger.Config{Window: 5, Patience: 2}
 	})
 	first := ledgerDecide(t, ts.URL, "adv-1", "chicago")
-	wantOnline, wantOpt := ledger.RealizedCost(first.B, first.ThresholdSec, first.ThresholdSec+0.1)
+	adv := first.ThresholdSec + 0.1
+	wantOnline, wantOpt := skirental.OnlineCost(first.ThresholdSec, adv, first.B), skirental.OfflineCost(adv, first.B)
 	if advCR := wantOnline / wantOpt; advCR <= first.WorstCaseCR {
 		t.Fatalf("adversarial CR %v does not clear the bound %v; trace cannot breach", advCR, first.WorstCaseCR)
 	}
-	ledgerObserve(t, ts.URL, "chicago", first.DecisionID, first.ThresholdSec+0.1)
+	ledgerObserve(t, ts.URL, "chicago", first.DecisionID, adv)
 	for i := 1; i < 40; i++ {
 		dec := ledgerDecide(t, ts.URL, "adv-1", "chicago")
 		ledgerObserve(t, ts.URL, "chicago", dec.DecisionID, dec.ThresholdSec+0.1)

@@ -244,6 +244,7 @@ func (s *Server) observe(ctx context.Context, req ObserveRequest) (*ObserveRespo
 			OptCost:      settled.Opt,
 			Bound:        settled.Pending.Bound,
 			JoinMS:       settled.JoinMS,
+			Eq3:          true,
 		})
 	}
 	if s.auditW != nil {

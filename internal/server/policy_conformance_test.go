@@ -454,14 +454,14 @@ func TestCacheEngineKeyIsolation(t *testing.T) {
 		t.Fatal("chicago missing")
 	}
 	def, _ := c.Get("chicago")
-	first, err := c.Strategy(rec, ms)
+	first, err := c.StrategyParams(rec, ms, nil)
 	if err != nil {
 		t.Fatalf("lazy multislope prepare: %v", err)
 	}
 	if first == def || first.Info().Choice == def.Info().Choice {
 		t.Fatalf("engines share a cache entry: %+v vs %+v", first.Info(), def.Info())
 	}
-	again, err := c.Strategy(rec, ms)
+	again, err := c.StrategyParams(rec, ms, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,7 +476,7 @@ func TestCacheEngineKeyIsolation(t *testing.T) {
 	if rec2 == rec {
 		t.Fatal("update did not swap the area record")
 	}
-	fresh, err := c.Strategy(rec2, ms)
+	fresh, err := c.StrategyParams(rec2, ms, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
