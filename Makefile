@@ -12,7 +12,7 @@ STATICCHECK_VERSION ?= 2025.1.1
 .PHONY: check ci build vet test race fmt-check perfbench staticcheck cover \
 	fuzz-smoke bench-smoke bench bench-metrics bench-parallel \
 	bench-capture bench-compare bench-gate loadtest-gate loadtest-bless \
-	clean
+	loc clean
 
 ## check: the full pre-commit gate — identical to CI (vet, fmt, build,
 ## test, race, fuzz smoke, staticcheck).
@@ -170,6 +170,16 @@ endif
 ## overwrite $(LOADTEST_BASELINE) (commit the result deliberately).
 loadtest-bless:
 	$(GO) run ./cmd/idled loadgate -baseline $(LOADTEST_BASELINE) -bless
+
+## loc: non-test Go lines per package and their total, the LoC delta
+## CHANGES.md records (not part of ci). Run it at two commits and
+## compare.
+loc:
+	@$(GO) list -f '{{.ImportPath}}{{range .GoFiles}} {{$$.Dir}}/{{.}}{{end}}' ./... | \
+	while read -r pkg files; do \
+		[ -n "$$files" ] || continue; \
+		printf '%7d %s\n' "$$(cat $$files | wc -l)" "$$pkg"; \
+	done | awk '{ print; total += $$1 } END { printf "%7d total\n", total }'
 
 clean:
 	rm -f bench-metrics.json bench-smoke.txt coverage.out cpu.pprof mem.pprof trace.out \

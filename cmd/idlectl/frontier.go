@@ -10,6 +10,7 @@ import (
 	"strings"
 
 	"idlereduce/internal/costmodel"
+	"idlereduce/internal/policy"
 	"idlereduce/internal/simulator"
 	"idlereduce/internal/skirental"
 	"idlereduce/internal/textplot"
@@ -28,7 +29,7 @@ func frontierCmd(args []string, stdin io.Reader, stdout io.Writer) error {
 	b := fs.Float64("b", 28, "break-even interval B in seconds")
 	mu := fs.Float64("mu", 4, "constrained statistic mu_B- the fallback serves")
 	q := fs.Float64("q", 0.25, "constrained statistic q_B+ the fallback serves")
-	engine := fs.String("engine", simulator.FrontierSoftML, "advised engine family: softml or distadvice")
+	engine := fs.String("engine", policy.SoftMLEngine, "advised engine family: softml or distadvice")
 	lambdasArg := fs.String("lambdas", "", "comma-separated trust grid (default 0,0.25,0.5,0.75,1)")
 	stopsPath := fs.String("stops", "", "evaluation stop trace file (default: a synthetic seeded trace)")
 	n := fs.Int("n", 2000, "synthetic trace length when no -stops is given")

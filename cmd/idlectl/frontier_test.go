@@ -10,18 +10,38 @@ import (
 	"testing"
 )
 
-var updateFrontierGolden = flag.Bool("update-frontier-golden", false, "re-record testdata/frontier_golden.txt")
+var updateFrontierGolden = flag.Bool("update-frontier-golden", false, "re-record the testdata/frontier*_golden.txt tables")
 
 // TestFrontierGolden pins the default sweep as a committed artifact:
 // the Fig-4-style table `idlectl frontier` prints with no flags must
 // reproduce byte-for-byte. Re-record deliberately with
 // `go test ./cmd/idlectl -run TestFrontierGolden -update-frontier-golden`.
 func TestFrontierGolden(t *testing.T) {
+	checkFrontierGolden(t, "testdata/frontier_golden.txt", "frontier")
+}
+
+// TestFrontierGoldenDistAdvice pins the distadvice sweep over a b-DET
+// fallback (x* = 6.83). Its robust-cr column is the worst case over the
+// whole trust region [x* - λB, x* + λB] ∩ [0, B]: at λ = 0.25 that is
+// every threshold in [0, 13.83], WorstCaseMixedCost(28, 0.5, 0.3, 0,
+// 13.83) / 8.9 = 3.6685.
+func TestFrontierGoldenDistAdvice(t *testing.T) {
+	out := checkFrontierGolden(t, "testdata/frontier_distadvice_golden.txt",
+		"frontier", "-engine", "distadvice", "-mu", "0.5", "-q", "0.3")
+	if rows := parseFrontierTable(t, out); len(rows) != 5 || rows[1][0] < 3.6685 {
+		t.Errorf("distadvice robust-cr at lambda=0.25 understates the trust region's worst case 3.6685:\n%s", out)
+	}
+}
+
+// checkFrontierGolden runs idlectl with args and compares its output
+// with the golden at path, re-recording it under
+// -update-frontier-golden.
+func checkFrontierGolden(t *testing.T, path string, args ...string) string {
+	t.Helper()
 	var buf bytes.Buffer
-	if err := run([]string{"frontier"}, strings.NewReader(""), &buf); err != nil {
+	if err := run(args, strings.NewReader(""), &buf); err != nil {
 		t.Fatal(err)
 	}
-	const path = "testdata/frontier_golden.txt"
 	if *updateFrontierGolden {
 		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
@@ -34,6 +54,7 @@ func TestFrontierGolden(t *testing.T) {
 	if !bytes.Equal(buf.Bytes(), want) {
 		t.Errorf("frontier output diverged from golden artifact:\n--- got ---\n%s--- want ---\n%s", buf.Bytes(), want)
 	}
+	return buf.String()
 }
 
 // parseFrontierTable pulls the numeric cells out of the rendered

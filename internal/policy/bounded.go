@@ -1,8 +1,7 @@
 package policy
 
 import (
-	"math"
-
+	"idlereduce/internal/predict"
 	"idlereduce/internal/skirental"
 )
 
@@ -38,22 +37,19 @@ func (a *advisedStrategy) WorstCaseCRBound() float64 { return a.robustBound }
 const advisedThresholdGrid = 64
 
 // robustCRBound computes the published worst-case CR of an advised
-// strategy at trust lambda: a conservative envelope over every
-// prediction the engine can receive.
+// strategy: a conservative envelope over every prediction the engine
+// can receive.
 //
-// For a fallback draw xc, the engine's blended threshold stays inside
-// a closed interval — softml blends toward the advice thresholds
-// {0, b} with weight at most lambda, so x ∈ [(1-λ)xc, (1-λ)xc + λb];
-// distadvice clamps the advice vertex into the trust region
-// [xc - λb, xc + λb]. The adversary who knows the interval routes mass
-// against both ends at once, which is exactly the two-threshold
-// adversarial bound WorstCaseMixedCost — monotone as the pair spreads,
-// so the interval endpoints give the per-draw maximum. The envelope is
-// that maximum over every reachable xc (the deterministic fallback's
-// single threshold, or a grid over [0, b] for N-Rand), floored by the
+// For a fallback draw xc, the rule's threshold stays inside its Reach.
+// The adversary who knows the interval routes mass against both ends
+// at once, which is exactly the two-threshold adversarial bound
+// WorstCaseMixedCost — monotone as the pair spreads, so the interval
+// endpoints give the per-draw maximum. The envelope is that maximum
+// over every reachable xc (the deterministic fallback's single
+// threshold, or a grid over [0, b] for N-Rand), floored by the
 // fallback's own vertex guarantee so the prediction-free path is
 // covered too.
-func robustCRBound(fb *constrainedStrategy, lambda float64, interval func(xc, b float64) (lo, hi float64)) float64 {
+func robustCRBound(fb *constrainedStrategy, rule predict.Rule) float64 {
 	st := fb.stats
 	offline := st.Mu + st.Q*st.B
 	bound := fb.p.WorstCaseCR()
@@ -61,7 +57,7 @@ func robustCRBound(fb *constrainedStrategy, lambda float64, interval func(xc, b 
 		return bound
 	}
 	eval := func(xc float64) {
-		lo, hi := interval(xc, st.B)
+		lo, hi := rule.Reach(xc, st.B)
 		cost := skirental.WorstCaseMixedCost(st.B, st.Mu, st.Q, lo, hi)
 		if cr := cost / offline; cr > bound {
 			bound = cr
@@ -75,21 +71,4 @@ func robustCRBound(fb *constrainedStrategy, lambda float64, interval func(xc, b 
 		eval(st.B * float64(i) / advisedThresholdGrid)
 	}
 	return bound
-}
-
-// softmlInterval is softml's reachable blended-threshold interval for
-// one fallback draw: advice thresholds are {0, b} and the blend weight
-// is at most lambda.
-func softmlInterval(lambda float64) func(xc, b float64) (float64, float64) {
-	return func(xc, b float64) (float64, float64) {
-		return (1 - lambda) * xc, (1-lambda)*xc + lambda*b
-	}
-}
-
-// distadviceInterval is distadvice's trust region around the fallback
-// draw (WorstCaseMixedCost clamps into [0, b] itself).
-func distadviceInterval(lambda float64) func(xc, b float64) (float64, float64) {
-	return func(xc, b float64) (float64, float64) {
-		return math.Max(0, xc-lambda*b), math.Min(b, xc+lambda*b)
-	}
 }

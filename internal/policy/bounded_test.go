@@ -113,8 +113,10 @@ func TestAdvisedBoundProperties(t *testing.T) {
 // deterministic and randomized fallbacks alike.
 func TestAdvisedDecisionBoundWithinEnvelope(t *testing.T) {
 	for _, s := range []Stats{
-		{B: 28, Mu: 8, Q: 0.13}, // deterministic-fallback regime
-		{B: 28, Mu: 4, Q: 0.25}, // N-Rand regime
+		{B: 28, Mu: 8, Q: 0.13},  // deterministic-fallback regime
+		{B: 28, Mu: 4, Q: 0.25},  // N-Rand regime
+		{B: 28, Mu: 0.5, Q: 0.3}, // b-DET regime
+		{B: 28, Mu: 10, Q: 0.4},  // TOI regime
 	} {
 		for _, spec := range []string{SoftMLEngine, DistAdviceEngine} {
 			b := boundedStrategy(t, spec, s, map[string]float64{"lambda": 0.6})

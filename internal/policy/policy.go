@@ -173,6 +173,11 @@ type Advised interface {
 	// DecideAdvised draws the action schedule for one stop under the
 	// given prediction.
 	DecideAdvised(rng *rand.Rand, p predict.Prediction) Decision
+	// Advise draws the fallback threshold and applies Rule to it: the
+	// threshold DecideAdvised serves, without its label and bounds.
+	Advise(rng *rand.Rand, p predict.Prediction) predict.Advice
+	// Rule is the advice rule Advise applies to the fallback draw.
+	Rule() predict.Rule
 }
 
 // ResolveParams validates caller overrides against the engine's

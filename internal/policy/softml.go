@@ -26,145 +26,93 @@ var lambdaParam = ParamSpec{
 	Max:     1,
 }
 
+// blendLabels[kind][vertex] is the Choice of a blended decision: the
+// rule's name and the vertex that labels the blend.
+var blendLabels [predict.KindDistAdvice + 1][skirental.ChoiceBDet + 1]string
+
 func init() {
-	Register(softmlEngine{})
-	Register(distadviceEngine{})
+	for k := range blendLabels {
+		for v := range blendLabels[k] {
+			blendLabels[k][v] = fmt.Sprintf("%s[%s]", predict.Kind(k), skirental.Choice(v))
+		}
+	}
+	Register(&advisedEngine{name: SoftMLEngine, kind: predict.KindSoftML,
+		doc: "lambda-robust blend of a point stop-length prediction with the constrained-vertex fallback"})
+	Register(&advisedEngine{name: DistAdviceEngine, kind: predict.KindDistAdvice,
+		doc: "vertex selection on predicted distribution moments, clamped to the lambda trust region"})
 }
 
-// softmlEngine is the Kodialam-style lambda-robust engine: a convex
-// blend of the constrained-vertex fallback threshold with the
-// pure-consistency advice threshold of a point stop-length forecast.
-type softmlEngine struct{}
+// advisedEngine is a learning-augmented engine: the constrained-vertex
+// fallback plus one predict advice rule at the requested trust lambda.
+type advisedEngine struct {
+	name string
+	kind predict.Kind
+	doc  string
+}
 
 // Name implements Engine.
-func (softmlEngine) Name() string { return SoftMLEngine }
+func (e *advisedEngine) Name() string { return e.name }
 
 // Version implements Engine.
-func (softmlEngine) Version() int { return 1 }
+func (*advisedEngine) Version() int { return 1 }
 
 // Doc implements Engine.
-func (softmlEngine) Doc() string {
-	return "lambda-robust blend of a point stop-length prediction with the constrained-vertex fallback"
-}
+func (e *advisedEngine) Doc() string { return e.doc }
 
 // Params implements Parametric.
-func (softmlEngine) Params() []ParamSpec { return []ParamSpec{lambdaParam} }
+func (*advisedEngine) Params() []ParamSpec { return []ParamSpec{lambdaParam} }
 
 // Prepare implements Engine: the all-defaults preparation.
-func (e softmlEngine) Prepare(s Stats) (Strategy, error) { return e.PrepareParams(s, nil) }
+func (e *advisedEngine) Prepare(s Stats) (Strategy, error) { return e.PrepareParams(s, nil) }
 
 // PrepareParams implements Parametric.
-func (e softmlEngine) PrepareParams(s Stats, params map[string]float64) (Strategy, error) {
-	resolved, fallback, err := prepareAdvised(e, s, params)
-	if err != nil {
-		return nil, err
-	}
-	sm, err := predict.NewSoftML(fallback.p, resolved["lambda"])
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadParams, err)
-	}
-	return &advisedStrategy{
-		fallback: fallback,
-		advise:   sm.Advise,
-		kind:     "SoftML",
-		spec:     Spec(e),
-		lambda:   sm.Lambda(),
-		// SoftML labels its blend by the fallback vertex it moved off.
-		choiceFor:   func(predict.Advice) string { return fallback.choice },
-		robustBound: robustCRBound(fallback, sm.Lambda(), softmlInterval(sm.Lambda())),
-	}, nil
-}
-
-// distadviceEngine is the distributional-advice engine: a predicted
-// moment pair projects onto the paper's statistics plane, the vertex
-// selection runs on the projection, and the resulting advice threshold
-// is clamped into the lambda trust region around the fallback draw.
-type distadviceEngine struct{}
-
-// Name implements Engine.
-func (distadviceEngine) Name() string { return DistAdviceEngine }
-
-// Version implements Engine.
-func (distadviceEngine) Version() int { return 1 }
-
-// Doc implements Engine.
-func (distadviceEngine) Doc() string {
-	return "vertex selection on predicted distribution moments, clamped to the lambda trust region"
-}
-
-// Params implements Parametric.
-func (distadviceEngine) Params() []ParamSpec { return []ParamSpec{lambdaParam} }
-
-// Prepare implements Engine: the all-defaults preparation.
-func (e distadviceEngine) Prepare(s Stats) (Strategy, error) { return e.PrepareParams(s, nil) }
-
-// PrepareParams implements Parametric.
-func (e distadviceEngine) PrepareParams(s Stats, params map[string]float64) (Strategy, error) {
-	resolved, fallback, err := prepareAdvised(e, s, params)
-	if err != nil {
-		return nil, err
-	}
-	da, err := predict.NewDistAdvice(fallback.p, resolved["lambda"])
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadParams, err)
-	}
-	return &advisedStrategy{
-		fallback: fallback,
-		advise:   da.Advise,
-		kind:     "DistAdvice",
-		spec:     Spec(e),
-		lambda:   da.Lambda(),
-		// DistAdvice labels its blend by the advice-selected vertex.
-		choiceFor:   func(a predict.Advice) string { return a.Label },
-		robustBound: robustCRBound(fallback, da.Lambda(), distadviceInterval(da.Lambda())),
-	}, nil
-}
-
-// prepareAdvised is the shared front half of both learning-augmented
-// preparations: resolve the lambda parameter and prepare the
-// constrained fallback the advice blends against.
-func prepareAdvised(e Parametric, s Stats, params map[string]float64) (map[string]float64, *constrainedStrategy, error) {
+func (e *advisedEngine) PrepareParams(s Stats, params map[string]float64) (Strategy, error) {
 	resolved, err := ResolveParams(e, params)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	fb, err := constrainedEngine{}.Prepare(s)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return resolved, fb.(*constrainedStrategy), nil
+	a := &advisedStrategy{
+		fallback: fb.(*constrainedStrategy),
+		rule:     predict.Rule{Kind: e.kind, Lambda: resolved["lambda"]},
+		engine:   e,
+	}
+	a.robustBound = robustCRBound(a.fallback, a.rule)
+	return a, nil
 }
 
 // advisedStrategy is the prepared form of both learning-augmented
 // engines. Without a prediction it IS the constrained fallback —
 // Decide delegates verbatim, same RNG consumption, same decision
-// bytes. With a prediction, DecideAdvised draws the fallback threshold
-// from the same stream position and blends it per the engine's advice
-// rule; the blended threshold's guarantee is re-derived through the
-// paper's worst-case threshold cost, so every decision still carries
-// an honest robustness bound.
+// bytes. With a prediction, Advise draws the fallback threshold from
+// the same stream position and hands it to the engine's advice rule;
+// DecideAdvised re-derives the advised threshold's guarantee through
+// the paper's worst-case threshold cost, so every decision still
+// carries an honest robustness bound.
 type advisedStrategy struct {
-	fallback  *constrainedStrategy
-	advise    func(*rand.Rand, predict.Prediction) predict.Advice
-	choiceFor func(predict.Advice) string
-	kind      string
-	spec      string
-	lambda    float64
+	fallback *constrainedStrategy
+	rule     predict.Rule
+	engine   *advisedEngine
 	// robustBound is the published lambda-robustness envelope (see
 	// robustCRBound in bounded.go), precomputed at Prepare time.
 	robustBound float64
 }
 
-// Lambda returns the prepared trust parameter.
-func (a *advisedStrategy) Lambda() float64 { return a.lambda }
-
 // Decide implements Strategy: the prediction-free path is the
 // constrained fallback, bit for bit.
 func (a *advisedStrategy) Decide(rng *rand.Rand) Decision { return a.fallback.Decide(rng) }
 
+// Advise implements Advised.
+func (a *advisedStrategy) Advise(rng *rand.Rand, p predict.Prediction) predict.Advice {
+	return a.rule.Advise(a.fallback.stats.B, a.fallback.p.Threshold(rng), p)
+}
+
 // DecideAdvised implements Advised.
 func (a *advisedStrategy) DecideAdvised(rng *rand.Rand, p predict.Prediction) Decision {
-	adv := a.advise(rng, p)
+	adv := a.Advise(rng, p)
 	if !adv.Blended {
 		// Zero effective trust: the advice threshold is exactly the
 		// fallback draw, so the decision is the fallback decision.
@@ -181,13 +129,22 @@ func (a *advisedStrategy) DecideAdvised(rng *rand.Rand, p predict.Prediction) De
 	if off := st.Mu + st.Q*st.B; off > 0 {
 		cr = cost / off
 	}
+	// softml labels its blend by the fallback vertex it moved off,
+	// distadvice by the vertex its advice selected.
+	vertex := adv.Vertex
+	if a.rule.Kind == predict.KindSoftML {
+		vertex = a.fallback.p.Choice()
+	}
 	return Decision{
-		Choice:        fmt.Sprintf("%s[%s]", a.kind, a.choiceFor(adv)),
+		Choice:        blendLabels[a.rule.Kind][vertex],
 		ThresholdSec:  adv.Threshold,
 		WorstCaseCost: cost,
 		WorstCaseCR:   cr,
 	}
 }
+
+// Rule implements Advised.
+func (a *advisedStrategy) Rule() predict.Rule { return a.rule }
 
 // Describe implements Strategy: the prediction-free serving summary is
 // the fallback's.
@@ -196,5 +153,5 @@ func (a *advisedStrategy) Describe() Description { return a.fallback.Describe() 
 // Explain implements Strategy.
 func (a *advisedStrategy) Explain() string {
 	return fmt.Sprintf("%s: lambda=%g blend of prediction advice against fallback [%s]",
-		a.spec, a.lambda, a.fallback.Explain())
+		Spec(a.engine), a.rule.Lambda, a.fallback.Explain())
 }

@@ -73,6 +73,8 @@ func TestAdvisedZeroLambdaBitIdentical(t *testing.T) {
 		{B: 28, Mu: 8, Q: 0.13}, // DET region (deterministic draw)
 		{B: 28, Mu: 4, Q: 0.25}, // N-Rand region (random draw)
 		{B: 28, Mu: 0.5, Q: 0.9},
+		{B: 28, Mu: 0.5, Q: 0.3}, // b-DET region
+		{B: 28, Mu: 10, Q: 0.4},  // TOI region
 	}
 	ce, _ := Lookup("constrained@v1")
 	preds := []predict.Prediction{

@@ -1,20 +1,22 @@
-// Package predict is the learning-augmented decision subsystem: typed
-// stop-length predictions, the robustness-constrained threshold
-// policies that consume them, adversarial predictor models for the
-// simulator, and the prediction-quality accumulators the serving stack
-// publishes.
+// Package predict holds the learning-augmented side of the decision
+// stack: typed stop-length predictions, the advice rule of each
+// learning-augmented engine, adversarial predictor models for the
+// simulator's frontier sweep, and the prediction-quality metrics that
+// /v1/observe publishes.
 //
-// The design follows the learning-augmented ski-rental line of work
+// The rules follow the learning-augmented ski-rental line of work
 // referenced in PAPERS.md: Kodialam's soft-ML blend trades consistency
 // (cost when the prediction is right) against robustness (the paper's
 // worst-case guarantee when it is arbitrarily wrong) through a single
 // trust parameter lambda in [0, 1]; Kim & Fan's distributional-advice
 // variant consumes predicted distribution moments instead of a point
 // forecast and is clamped against the constrained-vertex fallback the
-// same way. Both policies degrade EXACTLY to the DAC 2014 constrained
-// vertex selection at lambda = 0 — same RNG consumption, bit-identical
-// thresholds — which is what lets the serving layer keep its replayable
-// audit contract.
+// same way. A Rule is a pure function of the fallback draw its caller
+// made, and at lambda = 0 it returns that draw unchanged, so the
+// served softml@v1 and distadvice@v1 engines (internal/policy) degrade
+// exactly to the DAC 2014 constrained vertex selection — the same RNG
+// consumption and bit-identical thresholds — which keeps the audit log
+// replayable.
 package predict
 
 import (
@@ -57,13 +59,14 @@ func WithMoments(m1, m2 float64) Prediction {
 	return Prediction{StopSec: m1, Confidence: 1, M1: m1, M2: m2, HasMoments: true}
 }
 
-// Validate checks the forecast is consumable: finite non-negative stop
-// length, confidence in [0, 1], and (when present) a feasible moment
-// pair (finite, non-negative, M2 >= M1^2). Errors wrap
-// ErrBadPrediction.
+// Validate checks the forecast is consumable: a non-negative stop
+// length whose square is finite (the second moment a point forecast
+// implies, so at most sqrt(MaxFloat64) ~ 1.34e154 s), confidence in
+// [0, 1], and (when present) a feasible moment pair (finite,
+// non-negative, M2 >= M1^2). Errors wrap ErrBadPrediction.
 func (p Prediction) Validate() error {
-	if math.IsNaN(p.StopSec) || math.IsInf(p.StopSec, 0) || p.StopSec < 0 {
-		return fmt.Errorf("%w: predicted stop length %v must be finite and non-negative", ErrBadPrediction, p.StopSec)
+	if math.IsNaN(p.StopSec) || math.IsInf(p.StopSec*p.StopSec, 0) || p.StopSec < 0 {
+		return fmt.Errorf("%w: predicted stop length %v must be non-negative with a finite square", ErrBadPrediction, p.StopSec)
 	}
 	if math.IsNaN(p.Confidence) || p.Confidence < 0 || p.Confidence > 1 {
 		return fmt.Errorf("%w: confidence %v outside [0, 1]", ErrBadPrediction, p.Confidence)

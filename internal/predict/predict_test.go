@@ -25,6 +25,7 @@ func TestPredictionValidate(t *testing.T) {
 		{StopSec: 10, Confidence: 0.5},
 		WithMoments(20, 500),
 		WithMoments(0, 0),
+		New(1e154),
 	}
 	for _, p := range good {
 		if err := p.Validate(); err != nil {
@@ -42,6 +43,7 @@ func TestPredictionValidate(t *testing.T) {
 		{StopSec: 10, Confidence: 1, M1: math.NaN(), M2: 1, HasMoments: true},
 		{StopSec: 10, Confidence: 1, M1: -1, M2: 10, HasMoments: true},
 		{StopSec: 10, Confidence: 1, M1: 1, M2: math.Inf(1), HasMoments: true},
+		New(1e155), // its square, the implied second moment, overflows
 	}
 	for _, p := range bad {
 		err := p.Validate()
@@ -115,29 +117,22 @@ func TestRepresentativeThreshold(t *testing.T) {
 }
 
 // TestSoftMLZeroLambdaIsFallback is the robustness-extreme identity:
-// at lambda = 0 (or confidence 0) the advised draw is bit-identical to
-// the fallback draw from the same RNG position.
+// at lambda = 0 (or confidence 0) the advised threshold is the
+// fallback draw itself, bit for bit.
 func TestSoftMLZeroLambdaIsFallback(t *testing.T) {
 	c := mustConstrained(t, 28, 4, 0.25) // N-Rand region: draws are random
-	sm, err := NewSoftML(c, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sm := Rule{Kind: KindSoftML}
 	for seed := uint64(1); seed < 50; seed++ {
-		r1 := rand.New(rand.NewPCG(seed, 1))
-		r2 := rand.New(rand.NewPCG(seed, 1))
-		adv := sm.Advise(r1, New(500))
-		want := c.Threshold(r2)
-		if adv.Blended || math.Float64bits(adv.Threshold) != math.Float64bits(want) {
-			t.Fatalf("seed %d: advised %v (blended=%v), fallback %v", seed, adv.Threshold, adv.Blended, want)
+		xc := c.Threshold(rand.New(rand.NewPCG(seed, 1)))
+		adv := sm.Advise(28, xc, New(500))
+		if adv.Blended || math.Float64bits(adv.Threshold) != math.Float64bits(xc) {
+			t.Fatalf("seed %d: advised %v (blended=%v), fallback %v", seed, adv.Threshold, adv.Blended, xc)
 		}
 	}
 	// Same identity through per-request confidence 0 at lambda 1.
-	sm1, _ := NewSoftML(c, 1)
-	r1 := rand.New(rand.NewPCG(9, 1))
-	r2 := rand.New(rand.NewPCG(9, 1))
-	adv := sm1.Advise(r1, Prediction{StopSec: 500, Confidence: 0})
-	if adv.Blended || adv.Threshold != c.Threshold(r2) {
+	sm1 := Rule{Kind: KindSoftML, Lambda: 1}
+	xc := c.Threshold(rand.New(rand.NewPCG(9, 1)))
+	if adv := sm1.Advise(28, xc, Prediction{StopSec: 500, Confidence: 0}); adv.Blended || adv.Threshold != xc {
 		t.Fatalf("confidence 0 blended: %+v", adv)
 	}
 }
@@ -145,16 +140,11 @@ func TestSoftMLZeroLambdaIsFallback(t *testing.T) {
 // TestSoftMLFullTrustFollowsAdvice: lambda = 1 with full confidence
 // plays the pure advice threshold.
 func TestSoftMLFullTrustFollowsAdvice(t *testing.T) {
-	c := mustConstrained(t, 28, 8, 0.13)
-	sm, err := NewSoftML(c, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewPCG(3, 3))
-	if adv := sm.Advise(rng, New(400)); adv.Threshold != 0 || !adv.Blended || adv.Label != "long" {
+	sm := Rule{Kind: KindSoftML, Lambda: 1}
+	if adv := sm.Advise(28, 28, New(400)); adv.Threshold != 0 || !adv.Blended || adv.Vertex != skirental.ChoiceTOI {
 		t.Errorf("long forecast: %+v", adv)
 	}
-	if adv := sm.Advise(rng, New(3)); adv.Threshold != 28 || adv.Label != "short" {
+	if adv := sm.Advise(28, 28, New(3)); adv.Threshold != 28 || adv.Vertex != skirental.ChoiceDET {
 		t.Errorf("short forecast: %+v", adv)
 	}
 }
@@ -165,44 +155,27 @@ func TestSoftMLBlendStaysBounded(t *testing.T) {
 	c := mustConstrained(t, 28, 4, 0.25)
 	rng := rand.New(rand.NewPCG(11, 4))
 	for _, lambda := range []float64{0.1, 0.5, 0.9} {
-		sm, err := NewSoftML(c, lambda)
-		if err != nil {
-			t.Fatal(err)
-		}
+		sm := Rule{Kind: KindSoftML, Lambda: lambda}
 		for i := 0; i < 500; i++ {
 			p := Prediction{StopSec: rng.Float64() * 600, Confidence: rng.Float64()}
-			adv := sm.Advise(rng, p)
+			adv := sm.Advise(28, c.Threshold(rng), p)
 			if adv.Threshold < 0 || adv.Threshold > 28 || math.IsNaN(adv.Threshold) {
 				t.Fatalf("lambda=%v %+v -> threshold %v", lambda, p, adv.Threshold)
 			}
 		}
 	}
-	if _, err := NewSoftML(c, 1.5); err == nil {
-		t.Error("lambda 1.5 accepted")
-	}
-	if _, err := NewSoftML(c, math.NaN()); err == nil {
-		t.Error("NaN lambda accepted")
-	}
-	if _, err := NewSoftML(nil, 0.5); err == nil {
-		t.Error("nil fallback accepted")
-	}
 }
 
 // TestDistAdviceZeroLambdaIsFallback mirrors the SoftML identity for
-// the distributional policy.
+// the distributional rule.
 func TestDistAdviceZeroLambdaIsFallback(t *testing.T) {
 	c := mustConstrained(t, 28, 4, 0.25)
-	da, err := NewDistAdvice(c, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	da := Rule{Kind: KindDistAdvice}
 	for seed := uint64(1); seed < 50; seed++ {
-		r1 := rand.New(rand.NewPCG(seed, 2))
-		r2 := rand.New(rand.NewPCG(seed, 2))
-		adv := da.Advise(r1, WithMoments(120, 20000))
-		want := c.Threshold(r2)
-		if adv.Blended || math.Float64bits(adv.Threshold) != math.Float64bits(want) {
-			t.Fatalf("seed %d: advised %v, fallback %v", seed, adv.Threshold, want)
+		xc := c.Threshold(rand.New(rand.NewPCG(seed, 2)))
+		adv := da.Advise(28, xc, WithMoments(120, 20000))
+		if adv.Blended || math.Float64bits(adv.Threshold) != math.Float64bits(xc) {
+			t.Fatalf("seed %d: advised %v, fallback %v", seed, adv.Threshold, xc)
 		}
 	}
 }
@@ -211,20 +184,16 @@ func TestDistAdviceZeroLambdaIsFallback(t *testing.T) {
 // lambda*B of the fallback draw.
 func TestDistAdviceTrustRegion(t *testing.T) {
 	c := mustConstrained(t, 28, 8, 0.13) // deterministic fallback
-	rng := rand.New(rand.NewPCG(5, 5))
-	xc := c.Threshold(rng)
+	xc := c.Threshold(rand.New(rand.NewPCG(5, 5)))
 	for _, lambda := range []float64{0.1, 0.25, 0.6, 1} {
-		da, err := NewDistAdvice(c, lambda)
-		if err != nil {
-			t.Fatal(err)
-		}
+		da := Rule{Kind: KindDistAdvice, Lambda: lambda}
 		for _, p := range []Prediction{
 			WithMoments(200, 50000), // long regime -> advice 0 or near
 			WithMoments(3, 10),      // short regime -> advice B
 			New(500),                // degenerate long
 			New(1),                  // degenerate short
 		} {
-			adv := da.Advise(rand.New(rand.NewPCG(5, 5)), p)
+			adv := da.Advise(28, xc, p)
 			if !adv.Blended {
 				t.Fatalf("lambda=%v not blended", lambda)
 			}

@@ -2,8 +2,8 @@ package predict
 
 import "idlereduce/internal/obs"
 
-// Quality metric names. The serving stack and the simulator publish
-// through the same names so docs/OBSERVABILITY.md describes both.
+// Quality metric names, published by POST /v1/observe and described in
+// docs/OBSERVABILITY.md.
 const (
 	// MetricErrAbs is the absolute prediction error histogram
 	// (|predicted - actual| seconds); a per-area labelled twin is
@@ -21,10 +21,11 @@ const (
 	MetricRegret = "predict_regret_total"
 )
 
-// RecordQuality publishes one prediction-vs-outcome pair to the
-// metrics recorder: error histograms (global plus per-area) and the
-// consistency/regret side counters. area may be empty for unattributed
-// sources (the simulator); rec nil-checks like every obs sink.
+// RecordQuality publishes one prediction-vs-outcome pair of an
+// observed area to the metrics recorder: error histograms (global plus
+// per-area) and the consistency/regret side counters. Its one caller is
+// POST /v1/observe, for observations that carry the forecast made for
+// the stop; rec nil-checks like every obs sink.
 func RecordQuality(rec *obs.Recorder, area string, b, predicted, actual float64) {
 	if !rec.On() {
 		return
@@ -36,9 +37,7 @@ func RecordQuality(rec *obs.Recorder, area string, b, predicted, actual float64)
 	}
 	rec.Observe(MetricErrAbs, abs)
 	rec.Observe(MetricErrSigned, err)
-	if area != "" {
-		rec.Observe(obs.L(MetricErrAbs, "area", area), abs)
-	}
+	rec.Observe(obs.L(MetricErrAbs, "area", area), abs)
 	// Side agreement is what decides whether advice helps: the blend
 	// only needs the forecast on the correct side of B, not its exact
 	// value.

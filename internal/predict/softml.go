@@ -1,157 +1,104 @@
 package predict
 
 import (
-	"fmt"
 	"math"
-	"math/rand/v2"
 
 	"idlereduce/internal/skirental"
 )
 
 // Advice is the outcome of consuming one prediction: the final
 // threshold, whether the prediction actually moved it off the fallback
-// draw, and the advice-side label (the direction of a point forecast,
-// or the vertex a distributional forecast selected).
+// draw, and the vertex the advice points at.
 type Advice struct {
 	// Threshold is the threshold to play for this stop, in [0, B].
 	Threshold float64
 	// Blended reports that the prediction was trusted (effective
 	// lambda > 0); false means Threshold is exactly the fallback draw.
 	Blended bool
-	// Label names the advice side: "long"/"short" for a point
-	// forecast, the selected vertex ("DET", "TOI", "b-DET", "N-Rand")
-	// for a distributional one.
-	Label string
+	// Vertex is the vertex whose threshold the advice pulls toward: TOI
+	// or DET for a point forecast of a long or short stop, the vertex
+	// selected for the projected moments of a distributional one.
+	Vertex skirental.Choice
 }
 
-// SoftML is the Kodialam-style lambda-robust threshold policy: a
-// convex blend of the constrained-vertex fallback draw with the
-// pure-consistency advice threshold. lambda = 0 is bit-identical to
-// the fallback (including RNG consumption — the fallback threshold is
-// always drawn, whether or not it is blended); lambda = 1 with a
-// full-confidence prediction follows the advice outright.
-//
-// Every blended threshold stays in [0, B], so the policy always
-// carries the closed-form robustness bound WorstCaseDetCost gives for
-// its realized threshold: trusting the prediction can cost at most the
-// bound of the threshold it moved to, never an unbounded ratio.
-type SoftML struct {
-	c      *skirental.Constrained
-	lambda float64
-}
+// Kind selects an advice rule.
+type Kind uint8
 
-// NewSoftML wraps a prepared constrained fallback with trust lambda in
-// [0, 1].
-func NewSoftML(c *skirental.Constrained, lambda float64) (*SoftML, error) {
-	if c == nil {
-		return nil, fmt.Errorf("predict: nil fallback policy")
+const (
+	// KindSoftML is Kodialam's soft-ML blend: a convex blend of the
+	// fallback draw with the pure-consistency threshold of a point
+	// forecast (AdviceThreshold).
+	KindSoftML Kind = iota
+	// KindDistAdvice is Kim & Fan's distributional advice: the
+	// predicted moments project onto the constrained statistics plane
+	// (ProjectMoments), the paper's vertex selection picks the advice
+	// threshold, and the result is clamped into the trust region
+	// [xc - lambda*b, xc + lambda*b] around the fallback draw xc.
+	KindDistAdvice
+)
+
+// String names the rule; the served engines label blended decisions
+// with it ("SoftML[DET]").
+func (k Kind) String() string {
+	if k == KindDistAdvice {
+		return "DistAdvice"
 	}
-	if math.IsNaN(lambda) || lambda < 0 || lambda > 1 {
-		return nil, fmt.Errorf("predict: lambda %v outside [0, 1]", lambda)
-	}
-	return &SoftML{c: c, lambda: lambda}, nil
+	return "SoftML"
 }
 
-// Name implements skirental.Policy.
-func (s *SoftML) Name() string { return "SoftML" }
+// Rule is one learning-augmented engine's advice rule at trust Lambda
+// in [0, 1]: a pure function of the fallback draw the caller already
+// made and the forecast, so it consumes no randomness. The effective
+// trust of one forecast is Lambda * Confidence. At zero effective
+// trust the rule returns the fallback draw itself, which is what keeps
+// a served engine bit-identical to the constrained fallback at
+// lambda = 0. Every threshold stays in Reach, so the closed-form
+// robustness bound of that interval covers every forecast.
+type Rule struct {
+	Kind   Kind
+	Lambda float64
+}
 
-// B implements skirental.Policy.
-func (s *SoftML) B() float64 { return s.c.B() }
-
-// Lambda returns the trust parameter.
-func (s *SoftML) Lambda() float64 { return s.lambda }
-
-// Fallback returns the wrapped constrained policy.
-func (s *SoftML) Fallback() *skirental.Constrained { return s.c }
-
-// Threshold implements skirental.Policy: without advice the policy IS
-// the constrained fallback.
-func (s *SoftML) Threshold(rng *rand.Rand) float64 { return s.c.Threshold(rng) }
-
-// MeanCostForStop implements skirental.Policy for the advice-free
-// path.
-func (s *SoftML) MeanCostForStop(y float64) float64 { return s.c.MeanCostForStop(y) }
-
-// Advise draws the fallback threshold and blends it toward the advice
-// threshold with weight lambda * p.Confidence. The fallback draw
-// happens unconditionally so the RNG stream position is independent of
-// whether a prediction arrived — the invariant the audit replay and
-// the lambda = 0 byte-identity guarantee rest on.
-func (s *SoftML) Advise(rng *rand.Rand, p Prediction) Advice {
-	b := s.c.B()
-	xc := s.c.Threshold(rng)
-	le := s.lambda * p.Confidence
-	label := "short"
+// Advise returns the threshold to play at break-even b for fallback
+// draw xc in [0, b] under forecast p. A distributional rule given a
+// prediction without moments treats it as the degenerate distribution
+// at its point forecast.
+func (r Rule) Advise(b, xc float64, p Prediction) Advice {
+	le := r.Lambda * p.Confidence
+	if r.Kind == KindDistAdvice {
+		m1, m2 := p.M1, p.M2
+		if !p.HasMoments {
+			m1, m2 = p.StopSec, p.StopSec*p.StopSec
+		}
+		mu, q := ProjectMoments(b, m1, m2)
+		xadv, vertex := RepresentativeThreshold(b, mu, q)
+		if le <= 0 {
+			return Advice{Threshold: xc, Vertex: vertex}
+		}
+		x := clamp(xadv, xc-le*b, xc+le*b)
+		return Advice{Threshold: clamp(x, 0, b), Blended: true, Vertex: vertex}
+	}
+	vertex := skirental.ChoiceDET
 	if p.StopSec >= b {
-		label = "long"
+		vertex = skirental.ChoiceTOI
 	}
 	if le <= 0 {
-		return Advice{Threshold: xc, Label: label}
+		return Advice{Threshold: xc, Vertex: vertex}
 	}
 	x := (1-le)*xc + le*AdviceThreshold(b, p.StopSec)
-	return Advice{Threshold: clamp(x, 0, b), Blended: true, Label: label}
+	return Advice{Threshold: clamp(x, 0, b), Blended: true, Vertex: vertex}
 }
 
-// DistAdvice is the Kim & Fan-style distributional-advice policy: the
-// predicted moment pair projects onto the constrained statistics plane
-// (ProjectMoments), the paper's vertex selection picks the advice
-// threshold for that projected distribution, and the result is clamped
-// into the robustness trust region [xc - lambda*B, xc + lambda*B]
-// around the fallback draw xc. lambda = 0 collapses the region to the
-// fallback draw itself — bit-identical to the constrained policy.
-type DistAdvice struct {
-	c      *skirental.Constrained
-	lambda float64
-}
-
-// NewDistAdvice wraps a prepared constrained fallback with trust
-// lambda in [0, 1].
-func NewDistAdvice(c *skirental.Constrained, lambda float64) (*DistAdvice, error) {
-	if c == nil {
-		return nil, fmt.Errorf("predict: nil fallback policy")
+// Reach is the interval of thresholds the rule can play for fallback
+// draw xc at break-even b, over every forecast, within [0, b]. softml
+// blends toward the advice thresholds {0, b} with weight at most
+// Lambda, so it reaches [(1-λ)xc, (1-λ)xc + λb]; distadvice reaches its
+// whole trust region [xc - λb, xc + λb].
+func (r Rule) Reach(xc, b float64) (lo, hi float64) {
+	if r.Kind == KindDistAdvice {
+		lo, hi = xc-r.Lambda*b, xc+r.Lambda*b
+	} else {
+		lo, hi = (1-r.Lambda)*xc, (1-r.Lambda)*xc+r.Lambda*b
 	}
-	if math.IsNaN(lambda) || lambda < 0 || lambda > 1 {
-		return nil, fmt.Errorf("predict: lambda %v outside [0, 1]", lambda)
-	}
-	return &DistAdvice{c: c, lambda: lambda}, nil
-}
-
-// Name implements skirental.Policy.
-func (d *DistAdvice) Name() string { return "DistAdvice" }
-
-// B implements skirental.Policy.
-func (d *DistAdvice) B() float64 { return d.c.B() }
-
-// Lambda returns the trust parameter.
-func (d *DistAdvice) Lambda() float64 { return d.lambda }
-
-// Fallback returns the wrapped constrained policy.
-func (d *DistAdvice) Fallback() *skirental.Constrained { return d.c }
-
-// Threshold implements skirental.Policy (the advice-free path).
-func (d *DistAdvice) Threshold(rng *rand.Rand) float64 { return d.c.Threshold(rng) }
-
-// MeanCostForStop implements skirental.Policy for the advice-free
-// path.
-func (d *DistAdvice) MeanCostForStop(y float64) float64 { return d.c.MeanCostForStop(y) }
-
-// Advise projects the predicted moments, selects the advice vertex,
-// and clamps its representative threshold into the trust region around
-// the fallback draw. A prediction without moments is treated as the
-// degenerate distribution at its point forecast.
-func (d *DistAdvice) Advise(rng *rand.Rand, p Prediction) Advice {
-	b := d.c.B()
-	xc := d.c.Threshold(rng)
-	le := d.lambda * p.Confidence
-	m1, m2 := p.M1, p.M2
-	if !p.HasMoments {
-		m1, m2 = p.StopSec, p.StopSec*p.StopSec
-	}
-	mu, q := ProjectMoments(b, m1, m2)
-	xadv, choice := RepresentativeThreshold(b, mu, q)
-	if le <= 0 {
-		return Advice{Threshold: xc, Label: choice.String()}
-	}
-	x := clamp(xadv, xc-le*b, xc+le*b)
-	return Advice{Threshold: clamp(x, 0, b), Blended: true, Label: choice.String()}
+	return math.Max(lo, 0), math.Min(hi, b)
 }

@@ -68,6 +68,7 @@ func TestPredictionValidationTable(t *testing.T) {
 		code       string
 	}{
 		{"negative predicted stop", `{"vehicle_id":"v","area":"chicago","policy":"softml","prediction":{"predicted_stop_s":-4}}`, 400, "invalid_prediction"},
+		{"predicted stop square overflows", `{"vehicle_id":"v","area":"chicago","policy":"distadvice","prediction":{"predicted_stop_s":1e155}}`, 400, "invalid_prediction"},
 		{"confidence below range", `{"vehicle_id":"v","area":"chicago","policy":"softml","prediction":{"predicted_stop_s":9,"confidence":-0.1}}`, 400, "invalid_prediction"},
 		{"confidence above range", `{"vehicle_id":"v","area":"chicago","policy":"softml","prediction":{"predicted_stop_s":9,"confidence":1.5}}`, 400, "invalid_prediction"},
 		{"m1 without m2", `{"vehicle_id":"v","area":"chicago","policy":"distadvice","prediction":{"predicted_stop_s":9,"m1":9}}`, 400, "invalid_prediction"},

@@ -1,32 +1,25 @@
 package simulator
 
 import (
+	"context"
 	"fmt"
 	"math/rand/v2"
 
+	"idlereduce/internal/policy"
 	"idlereduce/internal/predict"
-	"idlereduce/internal/skirental"
 )
 
-// AdvisedPolicy is a policy that can consume a per-stop prediction:
-// the learning-augmented wrappers (predict.SoftML, predict.DistAdvice)
-// implement it on top of the constrained fallback.
-type AdvisedPolicy interface {
-	skirental.Policy
-	// Advise draws this stop's threshold given a forecast. The fallback
-	// draw is consumed unconditionally so the RNG stream position is
-	// independent of the forecast's content.
-	Advise(rng *rand.Rand, p predict.Prediction) predict.Advice
-}
-
 // AdvisedConfig parameterizes an advised run: a predictor model emits
-// one forecast per stop and the advised policy blends it against its
-// fallback.
+// one forecast per stop and the advised strategy decides each stop
+// under it.
 type AdvisedConfig struct {
+	// Config carries the costs and run options; RunAdvised ignores its
+	// Policy and plays Advised instead.
 	Config
-	// Advised is the prediction-consuming policy. It must also be the
-	// run's Config.Policy; RunAdvised fills that field itself.
-	Advised AdvisedPolicy
+	// Advised is the prediction-consuming strategy, as policy.Prepare
+	// returns it for an advised engine, prepared at the break-even
+	// interval of Config.Costs.
+	Advised policy.Advised
 	// Predictor emits the per-stop forecast; see predict.Oracle,
 	// predict.Miscalibrated, predict.Stale, predict.Biased,
 	// predict.Adversarial.
@@ -35,51 +28,50 @@ type AdvisedConfig struct {
 
 // advisedAdapter threads per-stop forecasts through the simulator's
 // one-Threshold-per-stop contract: each Threshold call predicts the
-// upcoming stop, asks the policy for advice, and plays the advised
-// threshold. It is single-use — one adapter per run.
+// upcoming stop and plays the threshold the strategy advises for it
+// (Advise: the threshold DecideAdvised serves, without the
+// per-decision bounds a run has no use for). It is single-use — one
+// adapter per run.
 type advisedAdapter struct {
-	policy    AdvisedPolicy
+	strategy  policy.Advised
 	predictor predict.Predictor
+	b         float64
 	stops     []float64
 	next      int
 	prev      float64
 }
 
 func (a *advisedAdapter) Name() string {
-	return fmt.Sprintf("%s+%s", a.policy.Name(), a.predictor.Name())
+	return fmt.Sprintf("%s+%s", a.strategy.Rule().Kind, a.predictor.Name())
 }
 
-func (a *advisedAdapter) B() float64 { return a.policy.B() }
-
-func (a *advisedAdapter) MeanCostForStop(y float64) float64 { return a.policy.MeanCostForStop(y) }
+func (a *advisedAdapter) B() float64 { return a.b }
 
 func (a *advisedAdapter) Threshold(rng *rand.Rand) float64 {
 	if a.next >= len(a.stops) {
 		// Defensive: the simulator calls Threshold exactly once per
-		// stop; past the trace the policy degrades to its fallback.
-		return a.policy.Threshold(rng)
+		// stop; past the trace the strategy degrades to its fallback.
+		return a.strategy.Decide(rng).ThresholdSec
 	}
 	actual := a.stops[a.next]
 	forecast := a.predictor.Predict(rng, actual, a.prev)
-	adv := a.policy.Advise(rng, forecast)
 	a.prev = actual
 	a.next++
-	return adv.Threshold
+	return a.strategy.Advise(rng, forecast).Threshold
 }
 
-// RunAdvised simulates an advised policy over the stop sequence: the
-// predictor sees each stop's true length (and the previous one) and
-// the policy blends the forecast against its fallback draw. Everything
-// else — engine state machine, cost metering, observability — is the
-// plain Run path.
+// RunAdvised simulates an advised strategy over the stop sequence: the
+// predictor sees each stop's true length (and the previous one), then
+// the strategy draws its fallback threshold and applies its advice
+// rule, exactly as /v1/decide does. Everything else — engine state
+// machine, cost metering, observability — is the plain Run path.
 func RunAdvised(cfg AdvisedConfig, stops []float64, rng *rand.Rand) (*Result, error) {
 	if cfg.Advised == nil {
-		return nil, fmt.Errorf("%w: nil advised policy", ErrConfig)
+		return nil, fmt.Errorf("%w: nil advised strategy", ErrConfig)
 	}
 	if cfg.Predictor == nil {
 		return nil, fmt.Errorf("%w: nil predictor", ErrConfig)
 	}
-	run := cfg.Config
-	run.Policy = &advisedAdapter{policy: cfg.Advised, predictor: cfg.Predictor, stops: stops}
-	return Run(run, stops, rng)
+	src := &advisedAdapter{strategy: cfg.Advised, predictor: cfg.Predictor, b: cfg.Costs.B(), stops: stops}
+	return run(context.Background(), cfg.Config, src, stops, rng)
 }

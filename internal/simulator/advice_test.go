@@ -5,6 +5,7 @@ import (
 	"math/rand/v2"
 	"testing"
 
+	"idlereduce/internal/policy"
 	"idlereduce/internal/predict"
 	"idlereduce/internal/skirental"
 )
@@ -13,17 +14,30 @@ import (
 // exercise randomized fallback draws.
 var testStats = skirental.Stats{MuBMinus: 4, QBPlus: 0.25}
 
-func mustSoftML(t *testing.T, lambda float64) *predict.SoftML {
+// mustSoftML prepares the served softml strategy for testStats at B=28.
+func mustSoftML(t *testing.T, lambda float64) policy.Advised {
+	t.Helper()
+	eng, err := policy.Lookup(policy.SoftMLEngine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := policy.Prepare(eng, policy.Stats{B: 28, Mu: testStats.MuBMinus, Q: testStats.QBPlus},
+		map[string]float64{"lambda": lambda})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st.(policy.Advised)
+}
+
+// mustFallback is the constrained policy the advised strategies fall
+// back to.
+func mustFallback(t *testing.T) *skirental.Constrained {
 	t.Helper()
 	c, err := skirental.NewConstrained(28, testStats)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := predict.NewSoftML(c, lambda)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
+	return c
 }
 
 // testTrace is a deterministic stop mix straddling B=28: short stops,
@@ -44,7 +58,7 @@ func testTrace(n int) []float64 {
 func TestRunAdvisedZeroLambdaMatchesFallback(t *testing.T) {
 	stops := testTrace(500)
 	pol := mustSoftML(t, 0)
-	want, err := Run(Config{Costs: testCosts, Policy: pol.Fallback()}, stops, rand.New(rand.NewPCG(5, 6)))
+	want, err := Run(Config{Costs: testCosts, Policy: mustFallback(t)}, stops, rand.New(rand.NewPCG(5, 6)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +91,7 @@ func TestRunAdvisedZeroLambdaMatchesFallback(t *testing.T) {
 func TestRunAdvisedOracleBeatsFallback(t *testing.T) {
 	stops := testTrace(2000)
 	pol := mustSoftML(t, 1)
-	base, err := Run(Config{Costs: testCosts, Policy: pol.Fallback()}, stops, rand.New(rand.NewPCG(5, 6)))
+	base, err := Run(Config{Costs: testCosts, Policy: mustFallback(t)}, stops, rand.New(rand.NewPCG(5, 6)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +143,7 @@ func TestRunAdvisedAdversaryStaysBounded(t *testing.T) {
 func TestRunAdvisedValidation(t *testing.T) {
 	pol := mustSoftML(t, 0.5)
 	if _, err := RunAdvised(AdvisedConfig{Config: Config{Costs: testCosts}, Predictor: predict.Oracle{}}, []float64{5}, simRNG()); err == nil {
-		t.Error("want error for nil advised policy")
+		t.Error("want error for nil advised strategy")
 	}
 	if _, err := RunAdvised(AdvisedConfig{Config: Config{Costs: testCosts}, Advised: pol}, []float64{5}, simRNG()); err == nil {
 		t.Error("want error for nil predictor")
@@ -185,7 +199,7 @@ func TestSweepFrontierShape(t *testing.T) {
 // realized CR reaches 1 at full trust — strictly below its lambda = 0
 // value.
 func TestSweepFrontierMonotone(t *testing.T) {
-	for _, engine := range []string{FrontierSoftML, FrontierDistAdvice} {
+	for _, engine := range []string{policy.SoftMLEngine, policy.DistAdviceEngine} {
 		f, err := SweepFrontier(FrontierConfig{
 			Costs:  testCosts,
 			Stats:  testStats,
@@ -210,7 +224,7 @@ func TestSweepFrontierMonotone(t *testing.T) {
 		}
 		orc := f.Row("oracle")
 		last := orc[len(orc)-1]
-		if engine == FrontierSoftML {
+		if engine == policy.SoftMLEngine {
 			if math.Abs(last.MeanCR-1) > 1e-9 {
 				t.Errorf("%s oracle at lambda=1 CR %v, want 1", engine, last.MeanCR)
 			}
@@ -240,14 +254,18 @@ func TestSweepFrontierDeterministic(t *testing.T) {
 	}
 }
 
-// TestSweepFrontierValidation: bad engine, bad lambda, empty trace.
+// TestSweepFrontierValidation: unknown or prediction-free engine, bad
+// lambda, empty trace.
 func TestSweepFrontierValidation(t *testing.T) {
 	base := FrontierConfig{Costs: testCosts, Stats: testStats, Stops: []float64{5, 50}, Seed: 1}
-	bad := base
-	bad.Engine = "psychic"
-	if _, err := SweepFrontier(bad); err == nil {
-		t.Error("want error for unknown engine")
+	for _, engine := range []string{"psychic", policy.DefaultEngine, policy.MultislopeEngine} {
+		bad := base
+		bad.Engine = engine
+		if _, err := SweepFrontier(bad); err == nil {
+			t.Errorf("want error for engine %q", engine)
+		}
 	}
+	bad := base
 	bad = base
 	bad.Lambdas = []float64{0, 2}
 	if _, err := SweepFrontier(bad); err == nil {
@@ -257,5 +275,39 @@ func TestSweepFrontierValidation(t *testing.T) {
 	bad.Stops = nil
 	if _, err := SweepFrontier(bad); err == nil {
 		t.Error("want error for empty trace")
+	}
+}
+
+// TestFrontierRobustnessMatchesServedBound: over a deterministic
+// fallback the representative threshold is the fallback's threshold,
+// so the frontier's robustness column must equal the cr_bound the
+// served strategy publishes, for both engines and every trust level.
+func TestFrontierRobustnessMatchesServedBound(t *testing.T) {
+	for _, s := range []skirental.Stats{
+		{MuBMinus: 8, QBPlus: 0.13},  // DET
+		{MuBMinus: 0.5, QBPlus: 0.3}, // b-DET
+		{MuBMinus: 10, QBPlus: 0.4},  // TOI
+	} {
+		for _, engine := range []string{policy.SoftMLEngine, policy.DistAdviceEngine} {
+			f, err := SweepFrontier(FrontierConfig{
+				Costs: testCosts, Stats: s, Engine: engine, Stops: testTrace(50), Seed: 3,
+				Predictors: []predict.Predictor{predict.Oracle{}},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng, _ := policy.Lookup(engine)
+			for _, p := range f.Points {
+				st, err := policy.Prepare(eng, policy.Stats{B: 28, Mu: s.MuBMinus, Q: s.QBPlus},
+					map[string]float64{"lambda": p.Lambda})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if served := st.(policy.Bounded).WorstCaseCRBound(); p.RobustnessCR != served {
+					t.Errorf("%s %+v lambda=%g: frontier robustness %v != served bound %v",
+						engine, s, p.Lambda, p.RobustnessCR, served)
+				}
+			}
+		}
 	}
 }

@@ -2,10 +2,10 @@ package simulator
 
 import (
 	"fmt"
-	"math"
 	"math/rand/v2"
 
 	"idlereduce/internal/costmodel"
+	"idlereduce/internal/policy"
 	"idlereduce/internal/predict"
 	"idlereduce/internal/skirental"
 )
@@ -19,15 +19,6 @@ import (
 // the constrained fallback; raising lambda improves consistency under
 // good predictors while the robustness bound degrades monotonically.
 
-// Frontier engines.
-const (
-	// FrontierSoftML sweeps the point-forecast blend (predict.SoftML).
-	FrontierSoftML = "softml"
-	// FrontierDistAdvice sweeps the distributional-advice policy
-	// (predict.DistAdvice).
-	FrontierDistAdvice = "distadvice"
-)
-
 // FrontierConfig parameterizes one sweep.
 type FrontierConfig struct {
 	// Costs supplies the cost ratio; its B is the break-even interval
@@ -35,7 +26,8 @@ type FrontierConfig struct {
 	Costs costmodel.CostRatio
 	// Stats is the constrained (mu_B-, q_B+) pair the fallback serves.
 	Stats skirental.Stats
-	// Engine selects the advised policy family; empty means softml.
+	// Engine is the spec of the advised engine to sweep, resolved by
+	// policy.Lookup; empty means softml.
 	Engine string
 	// Lambdas is the trust grid; empty takes 0, 0.25, 0.5, 0.75, 1.
 	Lambdas []float64
@@ -93,39 +85,23 @@ func DefaultFrontierPredictors(b float64) []predict.Predictor {
 	}
 }
 
-// newAdvised builds the advised policy for one cell.
-func newAdvised(engine string, c *skirental.Constrained, lambda float64) (AdvisedPolicy, error) {
-	switch engine {
-	case "", FrontierSoftML:
-		return predict.NewSoftML(c, lambda)
-	case FrontierDistAdvice:
-		return predict.NewDistAdvice(c, lambda)
-	default:
-		return nil, fmt.Errorf("%w: unknown frontier engine %q", ErrConfig, engine)
-	}
-}
-
-// robustnessCR evaluates the worst-case guarantee of trust level
-// lambda: advice pulls the fallback's representative threshold x*
-// toward 0 (predicted long) or b (predicted short) with weight lambda,
-// so an adversary controlling both the stop distribution and the
-// predictions routes every stop to the worse end of the reachable pair
-// ((1-lambda)x*, (1-lambda)x* + lambda*b). WorstCaseMixedCost is the
-// closed form of that attack, normalized by the offline lower bound
-// mu + q*b; it is nondecreasing in lambda because the pair only
-// spreads. For the randomized N-Rand fallback the representative
-// threshold stands in for the draw, making the bound a conservative
-// envelope rather than the (tighter) randomized guarantee.
-func robustnessCR(c *skirental.Constrained, lambda float64) float64 {
-	b := c.B()
-	s := c.Stats()
+// robustnessCR evaluates the worst-case guarantee of an advice rule at
+// its trust level: the rule can move the fallback's representative
+// threshold x* anywhere in its Reach, so an adversary controlling both
+// the stop distribution and the predictions routes every stop to the
+// worse end of that interval. WorstCaseMixedCost is the closed form of
+// that attack, normalized by the offline lower bound mu + q*b; it is
+// nondecreasing in lambda because the interval only widens. For the
+// randomized N-Rand fallback the representative threshold stands in
+// for the draw, making the bound a conservative envelope rather than
+// the (tighter) randomized guarantee.
+func robustnessCR(rule predict.Rule, b float64, s skirental.Stats) float64 {
 	x, _ := predict.RepresentativeThreshold(b, s.MuBMinus, s.QBPlus)
 	if x > b {
 		x = b
 	}
-	x0 := (1 - lambda) * x
-	xb := (1-lambda)*x + lambda*b
-	worst := skirental.WorstCaseMixedCost(b, s.MuBMinus, s.QBPlus, x0, xb)
+	lo, hi := rule.Reach(x, b)
+	worst := skirental.WorstCaseMixedCost(b, s.MuBMinus, s.QBPlus, lo, hi)
 	offline := s.MuBMinus + s.QBPlus*b
 	if offline <= 0 {
 		return 1
@@ -133,14 +109,19 @@ func robustnessCR(c *skirental.Constrained, lambda float64) float64 {
 	return worst / offline
 }
 
-// SweepFrontier runs the full sweep. Every cell replays the same seed
-// and trace, so the table is a pure function of the config.
+// SweepFrontier runs the full sweep over the strategies policy.Prepare
+// serves for the engine, one per trust level. Every cell replays the
+// same seed and trace, so the table is a pure function of the config.
 func SweepFrontier(cfg FrontierConfig) (*Frontier, error) {
-	b := cfg.Costs.B()
-	c, err := skirental.NewConstrained(b, cfg.Stats)
-	if err != nil {
-		return nil, fmt.Errorf("simulator: frontier fallback: %w", err)
+	spec := cfg.Engine
+	if spec == "" {
+		spec = policy.SoftMLEngine
 	}
+	eng, err := policy.Lookup(spec)
+	if err != nil {
+		return nil, fmt.Errorf("%w: frontier engine: %w", ErrConfig, err)
+	}
+	b := cfg.Costs.B()
 	lambdas := cfg.Lambdas
 	if len(lambdas) == 0 {
 		lambdas = DefaultFrontierLambdas()
@@ -152,8 +133,21 @@ func SweepFrontier(cfg FrontierConfig) (*Frontier, error) {
 	if len(cfg.Stops) == 0 {
 		return nil, fmt.Errorf("%w: frontier needs a stop trace", ErrConfig)
 	}
+	stats := policy.Stats{B: b, Mu: cfg.Stats.MuBMinus, Q: cfg.Stats.QBPlus}
+	strategies := make([]policy.Advised, len(lambdas))
+	for i, lambda := range lambdas {
+		st, err := policy.Prepare(eng, stats, map[string]float64{"lambda": lambda})
+		if err != nil {
+			return nil, fmt.Errorf("simulator: frontier %s lambda=%g: %w", policy.Spec(eng), lambda, err)
+		}
+		adv, ok := st.(policy.Advised)
+		if !ok {
+			return nil, fmt.Errorf("%w: engine %s does not accept predictions", ErrConfig, policy.Spec(eng))
+		}
+		strategies[i] = adv
+	}
 	f := &Frontier{
-		Engine:  cfg.Engine,
+		Engine:  eng.Name(),
 		B:       b,
 		Mu:      cfg.Stats.MuBMinus,
 		Q:       cfg.Stats.QBPlus,
@@ -161,22 +155,15 @@ func SweepFrontier(cfg FrontierConfig) (*Frontier, error) {
 		Seed:    cfg.Seed,
 		Lambdas: lambdas,
 	}
-	if f.Engine == "" {
-		f.Engine = FrontierSoftML
-	}
+	// One source, reseeded per cell: every cell replays the same stream.
+	src := rand.NewPCG(cfg.Seed, 0x5bf0_3635)
+	rng := rand.New(src)
 	for _, p := range predictors {
-		for _, lambda := range lambdas {
-			if math.IsNaN(lambda) || lambda < 0 || lambda > 1 {
-				return nil, fmt.Errorf("%w: lambda %v outside [0, 1]", ErrConfig, lambda)
-			}
-			pol, err := newAdvised(cfg.Engine, c, lambda)
-			if err != nil {
-				return nil, err
-			}
-			rng := rand.New(rand.NewPCG(cfg.Seed, 0x5bf0_3635))
+		for i, lambda := range lambdas {
+			src.Seed(cfg.Seed, 0x5bf0_3635)
 			res, err := RunAdvised(AdvisedConfig{
 				Config:    Config{Costs: cfg.Costs},
-				Advised:   pol,
+				Advised:   strategies[i],
 				Predictor: p,
 			}, cfg.Stops, rng)
 			if err != nil {
@@ -187,7 +174,7 @@ func SweepFrontier(cfg FrontierConfig) (*Frontier, error) {
 				Predictor:    p.Name(),
 				MeanCR:       res.CR(),
 				OnlineCents:  res.OnlineCents,
-				RobustnessCR: robustnessCR(c, lambda),
+				RobustnessCR: robustnessCR(strategies[i].Rule(), b, cfg.Stats),
 			})
 		}
 	}

@@ -32,16 +32,25 @@ type Config struct {
 // ErrConfig reports an invalid configuration.
 var ErrConfig = errors.New("simulator: invalid config")
 
-func (c Config) validate() error {
-	if c.Policy == nil {
+// thresholder is the part of skirental.Policy the run loop draws
+// from. An advised run's thresholds hinge on each stop's forecast, so
+// it has no closed-form mean cost and implements only this.
+type thresholder interface {
+	Name() string
+	B() float64
+	Threshold(rng *rand.Rand) float64
+}
+
+func (c Config) validate(pol thresholder) error {
+	if pol == nil {
 		return fmt.Errorf("%w: nil policy", ErrConfig)
 	}
 	if c.Costs.IdlingCentsPerSec <= 0 || c.Costs.RestartCents < 0 {
 		return fmt.Errorf("%w: costs %+v", ErrConfig, c.Costs)
 	}
 	b := c.Costs.B()
-	if math.Abs(b-c.Policy.B()) > 1e-6*b {
-		return fmt.Errorf("%w: cost ratio B=%v does not match policy B=%v", ErrConfig, b, c.Policy.B())
+	if math.Abs(b-pol.B()) > 1e-6*b {
+		return fmt.Errorf("%w: cost ratio B=%v does not match policy B=%v", ErrConfig, b, pol.B())
 	}
 	if c.DriveGapSec < 0 {
 		return fmt.Errorf("%w: negative drive gap", ErrConfig)
@@ -113,13 +122,19 @@ func Run(cfg Config, stops []float64, rng *rand.Rand) (*Result, error) {
 // transition counters, and a simulator.run span. Without a recorder
 // the instrumentation reduces to a nil check per stop.
 func RunContext(ctx context.Context, cfg Config, stops []float64, rng *rand.Rand) (*Result, error) {
-	if err := cfg.validate(); err != nil {
+	return run(ctx, cfg, cfg.Policy, stops, rng)
+}
+
+// run is RunContext drawing each stop's threshold from pol in place of
+// cfg.Policy.
+func run(ctx context.Context, cfg Config, pol thresholder, stops []float64, rng *rand.Rand) (*Result, error) {
+	if err := cfg.validate(pol); err != nil {
 		return nil, err
 	}
 	rec := obs.FromContext(ctx)
 	if rec.On() {
 		defer rec.StartSpan("simulator.run",
-			slog.String("policy", cfg.Policy.Name()),
+			slog.String("policy", pol.Name()),
 			slog.Int("stops", len(stops)))()
 	}
 	gap := cfg.DriveGapSec
@@ -143,9 +158,9 @@ func RunContext(ctx context.Context, cfg Config, stops []float64, rng *rand.Rand
 		if err := eng.beginStop(); err != nil {
 			return nil, err
 		}
-		x := cfg.Policy.Threshold(rng)
+		x := pol.Threshold(rng)
 		if x < 0 || math.IsNaN(x) {
-			return nil, fmt.Errorf("simulator: policy %q drew invalid threshold %v", cfg.Policy.Name(), x)
+			return nil, fmt.Errorf("simulator: policy %q drew invalid threshold %v", pol.Name(), x)
 		}
 
 		out := StopOutcome{Length: y, Threshold: x}
