@@ -7,7 +7,7 @@
 //
 //	idled serve    [-addr HOST:PORT] [-workers N] [-max-inflight N]
 //	               [-areas FILE] [-b SECONDS] [-seed N] [-max-batch N]
-//	               [-policy ENGINE] [-shards N] [-restore FILE]
+//	               [-policy ENGINE] [-restore FILE]
 //	               [-forgetting F] [-min-observations N]
 //	               [-drift-threshold H] [-retune-off]
 //	               [-request-timeout D] [-drain-timeout D]
@@ -16,7 +16,7 @@
 //	               [-pprof-addr HOST:PORT]
 //	idled loadtest [-target URL] [-clients N] [-requests N] [-batch N]
 //	               [-seed N] [-policy ENGINE] [-workers N] [-max-inflight N]
-//	               [-synthetic-areas N] [-shards N] [-observe F] [-miss F]
+//	               [-synthetic-areas N] [-observe F] [-miss F]
 //	               [-hot N] [-settle F] [-json] [-out report.json]
 //	               [-profile cpu|heap] [-profile-out FILE]
 //	idled loadgate [-baseline FILE] [-bless] [-areas N] [-clients N]
@@ -35,9 +35,9 @@
 // dedicated listener (never the serving port) for live CPU/heap
 // profiling of the running daemon (see docs/BENCHMARKS.md); -restore
 // boots from a state-plane snapshot (`idlectl snapshot save`) so a
-// replica starts warm; -shards sets the strategy-cache shard count and
-// the -forgetting/-min-observations/-drift-threshold/-retune-off knobs
-// tune the POST /v1/observe re-tune loop. loadtest
+// replica starts warm; and the -forgetting, -min-observations,
+// -drift-threshold and -retune-off knobs tune the POST /v1/observe
+// re-tune loop. loadtest
 // drives concurrent batch-decision clients at -target, or at a private
 // in-process server when -target is empty, and reports achieved QPS,
 // latency quantiles, allocations per decision and GC pause totals from
@@ -136,7 +136,6 @@ func serve(ctx context.Context, args []string, stdout io.Writer) error {
 	b := fs.Float64("b", 28, "default break-even interval (s) for the built-in areas")
 	seed := fs.Uint64("seed", 0, "root decision seed (0 = 20140601)")
 	defaultPolicy := fs.String("policy", "", "default policy engine served when requests name none (e.g. multislope3; empty = constrained; see idlectl engines)")
-	shards := fs.Int("shards", 0, "strategy-cache shard count, rounded up to a power of two (0 = default); wire behavior is identical for every value")
 	restorePath := fs.String("restore", "", "boot from this state-plane snapshot (idlectl snapshot save) instead of -areas")
 	forgetting := fs.Float64("forgetting", 0, "observation-stream exponential decay in (0,1] (0 = default 0.98)")
 	minObs := fs.Int("min-observations", 0, "observations before streamed estimates may re-tune an area (0 = default 50)")
@@ -188,7 +187,6 @@ func serve(ctx context.Context, args []string, stdout io.Writer) error {
 		MaxBatch:       *maxBatch,
 		RootSeed:       *seed,
 		DefaultPolicy:  *defaultPolicy,
-		Shards:         *shards,
 		RequestTimeout: *reqTimeout,
 		DrainTimeout:   *drainTimeout,
 		Areas:          areas,
@@ -259,7 +257,6 @@ func loadtest(ctx context.Context, args []string, stdout io.Writer) error {
 	workers := fs.Int("workers", 0, "in-process server pool size (ignored with -target)")
 	maxInflight := fs.Int("max-inflight", 1024, "in-process server in-flight bound (ignored with -target)")
 	synthAreas := fs.Int("synthetic-areas", 0, "serve N fabricated areas from the in-process server instead of the paper defaults (ignored with -target)")
-	shards := fs.Int("shards", 0, "in-process server cache shard count (ignored with -target)")
 	observeFrac := fs.Float64("observe", 0, "fraction of requests sent as observe batches (streamed stop observations with a mid-run drift)")
 	missFrac := fs.Float64("miss", 0, "fraction of decide slots carrying a custom break-even interval (controlled cache misses)")
 	settleFrac := fs.Float64("settle", 0, "fraction of slots running the competitive-ratio join (ledger-opted decides settled by decision_id observes)")
@@ -325,7 +322,6 @@ func loadtest(ctx context.Context, args []string, stdout io.Writer) error {
 			Addr:        "127.0.0.1:0",
 			Workers:     *workers,
 			MaxInflight: *maxInflight,
-			Shards:      *shards,
 			Areas:       areas,
 			Recorder:    rec,
 		})

@@ -28,8 +28,6 @@ import (
 type LoadScenario struct {
 	// Areas is the synthetic area count (the gate runs 100k).
 	Areas int `json:"areas"`
-	// Shards is the strategy-cache shard count (0 = server default).
-	Shards int `json:"shards"`
 	// Clients/Requests/Batch shape the request stream.
 	Clients  int `json:"clients"`
 	Requests int `json:"requests"`
@@ -86,8 +84,7 @@ func RunLoadScenario(ctx context.Context, scn LoadScenario) (server.LoadReport, 
 	}
 	areas := server.SyntheticAreaStates(scn.Areas, suiteB)
 	srv, err := server.New(server.Config{
-		Areas:  areas,
-		Shards: scn.Shards,
+		Areas: areas,
 		// The limiter must never shed the gate's own load: a 429 storm
 		// would read as an error-rate change, not a latency signal.
 		MaxInflight: scn.Clients * 4,

@@ -76,6 +76,19 @@ func TestLoadGateBlessThenPass(t *testing.T) {
 	}
 }
 
+// TestCommittedLoadBaselineReads: the committed baseline still decodes
+// to the default scenario. It predates the per-area views and carries
+// a "shards" key the scenario no longer has, which decoding ignores.
+func TestCommittedLoadBaselineReads(t *testing.T) {
+	base, err := ReadLoadBaseline(filepath.Join("..", "..", "LOADTEST_BASELINE.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base.Scenario != DefaultLoadScenario() {
+		t.Errorf("committed scenario %+v, want the default %+v", base.Scenario, DefaultLoadScenario())
+	}
+}
+
 // TestGateLoadFailureModes drives each gated regression through the
 // pure comparator.
 func TestGateLoadFailureModes(t *testing.T) {

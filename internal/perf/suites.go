@@ -51,8 +51,8 @@ func DefaultSuites() []Benchmark {
 			},
 		},
 		{
-			// The decide path's cache read: one atomic pointer load
-			// plus a map lookup.
+			// The decide path's cache read: one map lookup plus one
+			// atomic load of the area's view.
 			Name: "cache_hit", Class: "cpu", Iters: 20000,
 			Setup: func() (Op, func(), error) {
 				cache, err := defaultCache()
@@ -68,8 +68,8 @@ func DefaultSuites() []Benchmark {
 			},
 		},
 		{
-			// The copy-on-write stats swap: validate, re-derive the
-			// vertex selection, clone and publish the map.
+			// The stats swap: validate, re-derive the vertex
+			// selection and publish the area's new view.
 			Name: "cache_update", Class: "cpu", Iters: 2000,
 			Setup: func() (Op, func(), error) {
 				cache, err := defaultCache()
@@ -218,14 +218,14 @@ func DefaultSuites() []Benchmark {
 			},
 		},
 		{
-			// Cache reads spread across many areas and every shard —
-			// the decide lookup cost at scale, where shard placement
-			// and per-shard snapshot loads dominate instead of one hot
-			// map entry.
+			// Cache reads spread over 1024 areas — the decide lookup
+			// cost at scale, where the area map and the views miss the
+			// CPU caches instead of one hot entry. The name predates
+			// the per-area views and is kept as a compare key.
 			Name: "shard_decide", Class: "cpu", Iters: 10000,
 			Setup: func() (Op, func(), error) {
 				areas := server.SyntheticAreaStates(1024, suiteB)
-				cache, err := server.NewShardedCache(areas, nil, 0)
+				cache, err := server.NewCache(areas, nil)
 				if err != nil {
 					return nil, nil, err
 				}

@@ -106,18 +106,18 @@ func TestCacheUpdateRejectsAndKeepsOld(t *testing.T) {
 	}
 }
 
-func TestCacheListSorted(t *testing.T) {
+func TestCacheAreasSorted(t *testing.T) {
 	c, err := NewCache(testAreas(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	list := c.List()
-	if len(list) != 2 || list[0].rec.state.ID != "atlanta" || list[1].rec.state.ID != "chicago" {
+	list := c.Areas()
+	if len(list) != 2 || list[0].state.ID != "atlanta" || list[1].state.ID != "chicago" {
 		ids := make([]string, len(list))
-		for i, s := range list {
-			ids[i] = s.rec.state.ID
+		for i, rec := range list {
+			ids[i] = rec.state.ID
 		}
-		t.Errorf("List order %v", ids)
+		t.Errorf("Areas order %v", ids)
 	}
 	if c.Len() != 2 {
 		t.Errorf("Len %d", c.Len())

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 )
 
@@ -65,6 +66,81 @@ func TestDecideDeterministicAcrossWorkers(t *testing.T) {
 				wantBatch = raw
 			} else if !bytes.Equal(raw, wantBatch) {
 				t.Errorf("batch diverged at workers=%d:\n%s\n%s", workers, raw, wantBatch)
+			}
+		})
+	}
+}
+
+// TestDecideDeterministicAcrossShards: replies over a 64-area cache are
+// byte-equal for every batch worker count, including after concurrent
+// clients have served interleaved traffic. (The name predates the
+// per-area views, which replaced the sharded cache.)
+func TestDecideDeterministicAcrossShards(t *testing.T) {
+	areas := append(testAreas(),
+		AreaState{ID: "nrandia", B: 28, Mu: 4, Q: 0.25})
+	areas = append(areas, SyntheticAreaStates(61, 28)...)
+
+	singles := []string{
+		`{"vehicle_id":"s-1","area":"chicago","seed":11}`,
+		`{"vehicle_id":"s-2","area":"syn-000037","seed":12}`,
+		`{"vehicle_id":"s-3","area":"nrandia","seed":13}`,
+		`{"vehicle_id":"s-4","area":"chicago","b":55,"seed":14}`,
+	}
+	batch := `{"seed":11,"requests":[
+		{"vehicle_id":"b-1","area":"nrandia"},
+		{"vehicle_id":"b-2","area":"syn-000007"},
+		{"vehicle_id":"b-3","area":"syn-000042","b":33},
+		{"vehicle_id":"b-4","area":"atlanta"}]}`
+
+	var wantSingles [][]byte
+	var wantBatch []byte
+	first := true
+	for _, workers := range []int{1, 4, 8} {
+		name := fmt.Sprintf("workers=%d", workers)
+		t.Run(name, func(t *testing.T) {
+			s, err := New(Config{Areas: areas, Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
+
+			// Concurrent clients first, so the byte-compare below runs
+			// against a cache that has already served interleaved
+			// traffic.
+			var wg sync.WaitGroup
+			for cl := 0; cl < 4; cl++ {
+				wg.Add(1)
+				go func(cl int) {
+					defer wg.Done()
+					for r := 0; r < 8; r++ {
+						body := fmt.Sprintf(`{"vehicle_id":"cc-%d","area":"syn-%06d","seed":9}`, cl, (cl*13+r)%61)
+						doJSON(t, "POST", ts.URL+"/v1/decide", body, nil)
+					}
+				}(cl)
+			}
+			wg.Wait()
+
+			for i, body := range singles {
+				status, raw := doJSON(t, "POST", ts.URL+"/v1/decide", body, nil)
+				if status != http.StatusOK {
+					t.Fatalf("single %d status %d: %s", i, status, raw)
+				}
+				if first {
+					wantSingles = append(wantSingles, raw)
+				} else if !bytes.Equal(raw, wantSingles[i]) {
+					t.Errorf("single %d diverged at %s:\n%s\n%s", i, name, raw, wantSingles[i])
+				}
+			}
+			status, raw := doJSON(t, "POST", ts.URL+"/v1/decide/batch", batch, nil)
+			if status != http.StatusOK {
+				t.Fatalf("batch status %d: %s", status, raw)
+			}
+			if first {
+				wantBatch = raw
+				first = false
+			} else if !bytes.Equal(raw, wantBatch) {
+				t.Errorf("batch diverged at %s:\n%s\n%s", name, raw, wantBatch)
 			}
 		})
 	}

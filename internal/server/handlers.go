@@ -156,6 +156,8 @@ func (s *Server) decide(ctx context.Context, req DecideRequest, defaultSeed uint
 	}
 	// The area, break-even interval and stream are settled inside the
 	// prepare step, so a bad param or prediction outranks unknown_area.
+	// The area's view is loaded once: the strategy, the reply, the
+	// ledger entry and the audit record all come from its record.
 	var (
 		rec    *areaRec
 		b      float64
@@ -164,35 +166,33 @@ func (s *Server) decide(ctx context.Context, req DecideRequest, defaultSeed uint
 		t0     time.Time
 	)
 	dec, prep, params, apiErr := draw(eng, req.Params, req.Prediction, func(params map[string]float64) (policy.Strategy, *rand.Rand, *APIError) {
-		var ok bool
-		if rec, ok = s.cache.Area(req.Area); !ok {
+		v, ok := s.cache.view(req.Area)
+		if !ok {
 			return nil, nil, &APIError{Code: "unknown_area", Message: fmt.Sprintf("unknown area %q", req.Area), Status: http.StatusNotFound}
 		}
+		rec = v.rec
 		// Per-area latency attribution: the area record carries its
 		// pre-formatted metric names, so the hot path pays two map
 		// lookups and a clock read, never a label format.
 		t0 = time.Now()
 
 		// Cache hit: the request uses the area's default break-even
-		// interval, so the (area, engine) strategy comes from the
-		// precomputed cache keyspace. A custom B prepares a fresh
-		// strategy from the same statistics.
+		// interval, so the engine's strategy comes from the area's
+		// view. A custom B prepares a fresh strategy from the same
+		// statistics.
 		b = req.B
 		cached = b == 0 || b == rec.state.B
-		sh := s.cache.shardFor(rec.state.ID)
 		var prep policy.Strategy
 		var err error
 		if cached {
 			b = rec.state.B
 			var entry *strategy
-			if entry, err = s.cache.StrategyParams(rec, eng, params); err == nil {
+			if entry, err = s.cache.StrategyParams(v, eng, params); err == nil {
 				prep = entry.prep
 				s.rec.Add("decide_cache_hits_total", 1)
-				s.rec.Add(sh.hitMetric, 1)
 			}
 		} else {
 			s.rec.Add("decide_cache_misses_total", 1)
-			s.rec.Add(sh.missMetric, 1)
 			prep, err = policy.Prepare(eng, rec.state.PolicyStats(b), params)
 		}
 		if err != nil {
@@ -417,17 +417,17 @@ func (s *Server) handleAreas(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	recs := s.cache.Areas()
-	resp := AreasResponse{Areas: make([]AreaInfo, 0, len(recs))}
-	for _, rec := range recs {
-		st, err := s.cache.StrategyParams(rec, eng, nil)
+	views := s.cache.views()
+	resp := AreasResponse{Areas: make([]AreaInfo, 0, len(views))}
+	for _, v := range views {
+		st, err := s.cache.StrategyParams(v, eng, nil)
 		if err != nil {
 			resp.Areas = append(resp.Areas, AreaInfo{
-				ID:      rec.state.ID,
-				B:       rec.state.B,
-				Mu:      rec.state.Mu,
-				Q:       rec.state.Q,
-				Version: rec.version,
+				ID:      v.rec.state.ID,
+				B:       v.rec.state.B,
+				Mu:      v.rec.state.Mu,
+				Q:       v.rec.state.Q,
+				Version: v.rec.version,
 				Policy:  eng.Name(),
 				Error:   err.Error(),
 			})

@@ -449,19 +449,20 @@ func TestCacheEngineKeyIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, ok := c.Area("chicago")
+	v, ok := c.view("chicago")
 	if !ok {
 		t.Fatal("chicago missing")
 	}
 	def, _ := c.Get("chicago")
-	first, err := c.StrategyParams(rec, ms, nil)
+	first, err := c.StrategyParams(v, ms, nil)
 	if err != nil {
 		t.Fatalf("lazy multislope prepare: %v", err)
 	}
 	if first == def || first.Info().Choice == def.Info().Choice {
 		t.Fatalf("engines share a cache entry: %+v vs %+v", first.Info(), def.Info())
 	}
-	again, err := c.StrategyParams(rec, ms, nil)
+	v, _ = c.view("chicago")
+	again, err := c.StrategyParams(v, ms, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -472,11 +473,11 @@ func TestCacheEngineKeyIsolation(t *testing.T) {
 	if _, err := c.Update("chicago", 0, testAreas()[0].Stats()); err != nil {
 		t.Fatal(err)
 	}
-	rec2, _ := c.Area("chicago")
-	if rec2 == rec {
+	v2, _ := c.view("chicago")
+	if v2.rec == v.rec {
 		t.Fatal("update did not swap the area record")
 	}
-	fresh, err := c.StrategyParams(rec2, ms, nil)
+	fresh, err := c.StrategyParams(v2, ms, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,10 +79,6 @@ type Config struct {
 	// Areas is the boot-time area configuration (required unless
 	// Restore is set).
 	Areas []AreaState
-	// Shards is the strategy-cache shard count, rounded up to a power
-	// of two (0 = DefaultShards). Purely a contention knob: the wire
-	// behavior is byte-identical for every value.
-	Shards int
 	// Retune parameterizes the observation streams behind
 	// POST /v1/observe (forgetting, warmup, CUSUM sensitivity). The
 	// zero value takes every default.
@@ -223,7 +219,7 @@ func New(cfg Config) (*Server, error) {
 			areas[i] = a.AreaState
 		}
 	}
-	cache, err := NewShardedCache(areas, []policy.Engine{eng}, cfg.Shards)
+	cache, err := NewCache(areas, []policy.Engine{eng})
 	if err != nil {
 		return nil, err
 	}

@@ -183,9 +183,9 @@ func trailingJSON(dec *json.Decoder) error {
 }
 
 // StatePlane captures the server's current state plane: every area's
-// statistics, version, and observation stream. Each shard is read from
-// its current snapshot and each tracker under its observer lock, so
-// the capture is consistent per area (the unit of restore) without
+// statistics, version, and observation stream. Each area's record is
+// read from its current view and each tracker under its observer lock,
+// so the capture is consistent per area (the unit of restore) without
 // stopping the world.
 func (s *Server) StatePlane() StatePlane {
 	recs := s.cache.Areas()
@@ -213,9 +213,10 @@ func (s *Server) StatePlane() StatePlane {
 }
 
 // restoreState applies a validated state plane to the live server:
-// the strategy cache swaps per shard (all-or-nothing validation first)
-// and each area's observation stream is rebuilt from its tracker
-// state. Areas absent from the snapshot keep their current state.
+// the strategy cache publishes a new view per named area (all-or-
+// nothing validation first) and each area's observation stream is
+// rebuilt from its tracker state. Areas absent from the snapshot keep
+// their current state.
 func (s *Server) restoreState(p StatePlane) error {
 	if err := s.cache.Restore(p.Areas); err != nil {
 		return err
