@@ -9,7 +9,7 @@ FUZZTIME ?= 10s
 # into the toolchain; bump deliberately alongside Go upgrades.
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: check ci build vet test race fmt-check perfbench staticcheck cover \
+.PHONY: check ci build vet test race race-stress fmt-check perfbench staticcheck cover \
 	fuzz-smoke bench-smoke bench bench-metrics bench-parallel \
 	bench-capture bench-compare bench-gate loadtest-gate loadtest-bless \
 	loc clean
@@ -19,7 +19,7 @@ STATICCHECK_VERSION ?= 2025.1.1
 check: ci
 
 ## ci: mirror of the GitHub workflow jobs, step for step.
-ci: vet fmt-check build test race perfbench fuzz-smoke staticcheck bench-gate loadtest-gate
+ci: vet fmt-check build test race race-stress perfbench fuzz-smoke staticcheck bench-gate loadtest-gate
 
 build:
 	$(GO) build ./...
@@ -34,6 +34,13 @@ test:
 
 race:
 	$(GO) test -race -shuffle=on ./...
+
+## race-stress: the registry, sampler and JSONL sink tests under the
+## race detector ten times over. Several goroutines reach that state at
+## once (counter creation beside family sums, writers racing Close),
+## and a single -race pass rarely hits the risky interleavings.
+race-stress:
+	$(GO) test -race -count=10 -run 'Registry|SumCounter|Sampler|JSONL|Rotating' ./internal/obs
 
 ## perfbench: vet and test the benchmark module. It is a nested Go
 ## module, so `go build ./...` above never compiles it; this step fails
@@ -58,8 +65,8 @@ staticcheck:
 ## by CI as an artifact) and printing the per-package summary. Asserts
 ## the load-bearing subsystems are actually exercised — a suite that
 ## silently stopped importing internal/policy, the adaptive estimators,
-## or the sharded cache/state plane would otherwise pass while covering
-## nothing.
+## or the per-area strategy cache and state plane would otherwise pass
+## while covering nothing.
 cover:
 	$(GO) test -coverprofile=coverage.out -covermode=atomic ./...
 	$(GO) tool cover -func=coverage.out | tail -1

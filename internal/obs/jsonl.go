@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -10,15 +11,25 @@ import (
 )
 
 // JSONLWriter is a bounded, non-blocking JSON-lines sink: callers
-// marshal-and-enqueue, a single background goroutine does the actual
-// writing, and each record goes out as exactly one Write call, so a
-// record is never split across an underlying rotation boundary. When
-// the queue is full the record is dropped and counted instead of
-// blocking the caller — on a serving hot path, losing a trace line
-// beats adding latency. A nil *JSONLWriter is a no-op sink.
+// marshal-and-enqueue, and a single background goroutine does the
+// actual writing. It commits in groups: every record already queued
+// when the goroutine wakes goes out in one Write call from a reused
+// buffer, so a burst costs one write instead of one per record and no
+// record waits longer than it would written alone. Each Write carries
+// only whole newline-terminated records, so a RotatingFile underneath
+// still rotates between records. When the queue is full the record is
+// dropped and counted instead of blocking the caller — on a serving
+// hot path, losing a trace line beats adding latency. A nil
+// *JSONLWriter is a no-op sink.
 type JSONLWriter struct {
-	ch        chan jsonlMsg
-	done      chan struct{}
+	ch   chan jsonlMsg
+	done chan struct{}
+	// mu orders enqueues against Close: Write holds it for reading
+	// across its closed check and enqueue, and Close holds it for
+	// writing to set closed, so no record can land behind the stop
+	// barrier uncounted.
+	mu        sync.RWMutex
+	closed    bool
 	dropped   atomic.Int64
 	written   atomic.Int64
 	closeOnce sync.Once
@@ -28,10 +39,24 @@ type JSONLWriter struct {
 // jsonlMsg is one queue entry: either a record line or a flush/stop
 // barrier.
 type jsonlMsg struct {
-	line    []byte
+	line    *jsonlLine
 	barrier chan error
 	stop    bool
 }
+
+// jsonlLine is one encoded record, newline included. Lines are pooled:
+// the writer goroutine copies a line into its group buffer and
+// recycles it, so a record costs no buffer allocation of its own.
+type jsonlLine struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+var linePool = sync.Pool{New: func() any {
+	l := &jsonlLine{}
+	l.enc = json.NewEncoder(&l.buf)
+	return l
+}}
 
 // NewJSONLWriter starts the writer goroutine over w with the given
 // queue capacity (<= 0 means 1024).
@@ -43,24 +68,55 @@ func NewJSONLWriter(w io.Writer, queue int) *JSONLWriter {
 		ch:   make(chan jsonlMsg, queue),
 		done: make(chan struct{}),
 	}
-	go func() {
-		defer close(j.done)
-		for msg := range j.ch {
-			if msg.barrier != nil {
-				msg.barrier <- flushWriter(w)
-				if msg.stop {
-					return
-				}
+	go j.run(w)
+	return j
+}
+
+// run is the writer goroutine. It gathers the records queued up to the
+// next barrier (or until the queue is empty), commits them in one
+// Write, then answers the barrier, so a flush still covers every
+// record enqueued before it.
+func (j *JSONLWriter) run(w io.Writer) {
+	defer close(j.done)
+	var buf []byte
+	for msg := range j.ch {
+		records := 0
+		for msg.barrier == nil {
+			buf = append(buf, msg.line.buf.Bytes()...)
+			linePool.Put(msg.line)
+			records++
+			select {
+			case msg = <-j.ch:
 				continue
+			default:
 			}
-			if _, err := w.Write(msg.line); err != nil {
-				j.dropped.Add(1)
-			} else {
-				j.written.Add(1)
+			break
+		}
+		if records > 0 {
+			j.commit(w, buf, records)
+			buf = buf[:0]
+		}
+		if msg.barrier != nil {
+			msg.barrier <- flushWriter(w)
+			if msg.stop {
+				return
 			}
 		}
-	}()
-	return j
+	}
+}
+
+// commit writes one group of records. A failed Write counts the
+// records it did not finish as dropped: every record ends in the only
+// newline it contains, so the newlines in the written prefix count the
+// records that reached w.
+func (j *JSONLWriter) commit(w io.Writer, buf []byte, records int) {
+	n, err := w.Write(buf)
+	done := int64(records)
+	if err != nil {
+		done = int64(bytes.Count(buf[:n], []byte{'\n'}))
+		j.dropped.Add(int64(records) - done)
+	}
+	j.written.Add(done)
 }
 
 // flushWriter pushes buffered data through when the underlying writer
@@ -78,28 +134,32 @@ func flushWriter(w io.Writer) error {
 
 // Write marshals v and enqueues it as one line. It never blocks: a
 // full queue, a marshal failure, or a closed writer counts the record
-// as dropped.
+// as dropped. Every record offered is eventually counted exactly once,
+// as written or as dropped.
 func (j *JSONLWriter) Write(v any) {
 	if j == nil {
 		return
 	}
-	select {
-	case <-j.done:
+	// Encode writes the bytes of json.Marshal plus the newline, and
+	// nothing at all when it fails.
+	line := linePool.Get().(*jsonlLine)
+	line.buf.Reset()
+	if err := line.enc.Encode(v); err != nil {
+		linePool.Put(line)
 		j.dropped.Add(1)
 		return
-	default:
 	}
-	line, err := json.Marshal(v)
-	if err != nil {
-		j.dropped.Add(1)
-		return
+	j.mu.RLock()
+	defer j.mu.RUnlock()
+	if !j.closed {
+		select {
+		case j.ch <- jsonlMsg{line: line}:
+			return
+		default:
+		}
 	}
-	line = append(line, '\n')
-	select {
-	case j.ch <- jsonlMsg{line: line}:
-	default:
-		j.dropped.Add(1)
-	}
+	linePool.Put(line)
+	j.dropped.Add(1)
 }
 
 // Flush blocks until every record enqueued before the call has been
@@ -129,6 +189,9 @@ func (j *JSONLWriter) Close() error {
 		return nil
 	}
 	j.closeOnce.Do(func() {
+		j.mu.Lock()
+		j.closed = true
+		j.mu.Unlock()
 		b := make(chan error, 1)
 		select {
 		case j.ch <- jsonlMsg{barrier: b, stop: true}:
@@ -160,13 +223,16 @@ func (j *JSONLWriter) Written() int64 {
 	return j.written.Load()
 }
 
-// RotatingFile is an io.Writer over a file that rotates by size: when
-// a write would push the file past MaxBytes, the current file is
-// renamed to <path>.1 (replacing any previous rotation) and a fresh
-// file is opened. One rotation level bounds disk use at ~2×MaxBytes
-// while keeping a full window of recent records. Callers must keep
-// each logical record inside one Write call for rotation to preserve
-// record boundaries — JSONLWriter does.
+// RotatingFile is an io.Writer over a JSON-lines file that rotates by
+// size: when the next record would push the file past MaxBytes, the
+// current file is renamed to <path>.1 (replacing any previous
+// rotation) and a fresh file is opened. One rotation level bounds disk
+// use at ~2×MaxBytes while keeping a full window of recent records.
+//
+// A Write holds one or more whole, newline-terminated records (a
+// JSONLWriter group commit does). A multi-record Write is cut at the
+// last newline that still fits, so files rotate only between records
+// and no file exceeds MaxBytes unless a single record does.
 type RotatingFile struct {
 	mu       sync.Mutex
 	path     string
@@ -194,19 +260,41 @@ func OpenRotatingFile(path string, maxBytes int64) (*RotatingFile, error) {
 	return &RotatingFile{path: path, maxBytes: maxBytes, f: f, size: st.Size()}, nil
 }
 
-// Write appends p, rotating first when the file would exceed the
-// threshold.
+// Write appends p, rotating between records whenever the next one
+// would push the file past the threshold.
 func (r *RotatingFile) Write(p []byte) (int, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.size > 0 && r.size+int64(len(p)) > r.maxBytes {
-		if err := r.rotateLocked(); err != nil {
-			return 0, err
+	written := 0
+	for len(p) > 0 {
+		chunk := p
+		if room := r.maxBytes - r.size; int64(len(p)) > room {
+			// The records that fit end at the last newline within room.
+			chunk = p[:bytes.LastIndexByte(p[:max(room, 0)], '\n')+1]
+			if len(chunk) == 0 {
+				if r.size > 0 {
+					if err := r.rotateLocked(); err != nil {
+						return written, err
+					}
+					continue
+				}
+				// A fresh file and a first record larger than the
+				// threshold: it goes out whole, alone.
+				chunk = p
+				if i := bytes.IndexByte(p, '\n'); i >= 0 {
+					chunk = p[:i+1]
+				}
+			}
 		}
+		n, err := r.f.Write(chunk)
+		r.size += int64(n)
+		written += n
+		if err != nil {
+			return written, err
+		}
+		p = p[n:]
 	}
-	n, err := r.f.Write(p)
-	r.size += int64(n)
-	return n, err
+	return written, nil
 }
 
 // rotateLocked renames the live file to <path>.1 and reopens fresh.

@@ -21,30 +21,32 @@
 //	reg.WriteJSON(os.Stdout)
 package obs
 
-import (
-	"fmt"
-	"strings"
-)
+import "strconv"
 
 // L formats a metric name with label pairs in Prometheus style:
 //
 //	L("sim_stops_total", "policy", "DET") == `sim_stops_total{policy="DET"}`
 //
 // Keys and values are emitted in argument order; an odd trailing key is
-// ignored. Values containing '"' are escaped.
+// ignored. Values are quoted as Go string literals (strconv.Quote, the
+// bytes of fmt's %q), so '"' and control characters are escaped.
 func L(name string, kv ...string) string {
 	if len(kv) < 2 {
 		return name
 	}
-	var b strings.Builder
-	b.WriteString(name)
-	b.WriteByte('{')
+	// Typical names fit the stack buffer, leaving the returned string
+	// as the only allocation.
+	var stack [128]byte
+	b := append(stack[:0], name...)
+	b = append(b, '{')
 	for i := 0; i+1 < len(kv); i += 2 {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		fmt.Fprintf(&b, "%s=%q", kv[i], kv[i+1])
+		b = append(b, kv[i]...)
+		b = append(b, '=')
+		b = strconv.AppendQuote(b, kv[i+1])
 	}
-	b.WriteByte('}')
-	return b.String()
+	b = append(b, '}')
+	return string(b)
 }

@@ -13,6 +13,11 @@ import (
 type Registry struct {
 	mu       sync.RWMutex
 	counters map[string]*Counter
+	// families files every counter under its base name (label block
+	// stripped) when it is created, so a family sum reads only that
+	// family's counters however many others the registry holds.
+	// Slices are only appended to, under mu.
+	families map[string][]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 }
@@ -21,6 +26,7 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
+		families: make(map[string][]*Counter),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
 	}
@@ -39,6 +45,8 @@ func (r *Registry) Counter(name string) *Counter {
 	if c = r.counters[name]; c == nil {
 		c = &Counter{}
 		r.counters[name] = c
+		base := baseName(name)
+		r.families[base] = append(r.families[base], c)
 	}
 	return c
 }
@@ -78,17 +86,18 @@ func (r *Registry) Histogram(name string) *Histogram {
 }
 
 // SumCounterValues totals every live counter whose base name (label
-// block stripped) matches base. Unlike Snapshot().SumCounters it
-// walks the registry directly, so periodic samplers can read a sum
-// without materializing a full snapshot.
+// block stripped) matches base. It equals Snapshot().SumCounters(base)
+// but reads only the family's counters, so a periodic sampler pays for
+// the family it sums, not for the size of the registry.
 func (r *Registry) SumCounterValues(base string) int64 {
 	r.mu.RLock()
-	defer r.mu.RUnlock()
+	family := r.families[base]
+	r.mu.RUnlock()
+	// The slice header was read under the lock, and appends never
+	// rewrite the elements it covers, so the walk needs no lock.
 	var total int64
-	for name, c := range r.counters {
-		if baseName(name) == base {
-			total += c.Value()
-		}
+	for _, c := range family {
+		total += c.Value()
 	}
 	return total
 }

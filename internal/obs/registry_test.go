@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -16,6 +17,11 @@ func TestLFormatting(t *testing.T) {
 		{L("m", "k", "v"), `m{k="v"}`},
 		{L("m", "a", "1", "b", "2"), `m{a="1",b="2"}`},
 		{L("m", "dangling"), "m"},
+		// Values quote exactly as fmt's %q does, escapes included.
+		{L("m", "k", "a\"b\\c\n\x00é\u2028"), fmt.Sprintf("m{k=%q}", "a\"b\\c\n\x00é\u2028")},
+		// Longer than the stack buffer.
+		{L(strings.Repeat("n", 100), "key", strings.Repeat("v", 100)),
+			fmt.Sprintf("%s{key=%q}", strings.Repeat("n", 100), strings.Repeat("v", 100))},
 	}
 	for _, c := range cases {
 		if c.got != c.want {
@@ -190,5 +196,130 @@ func TestPrometheusLabelMerging(t *testing.T) {
 	}
 	if got := baseName(`h{a="b"}`); got != "h" {
 		t.Errorf("baseName: %q", got)
+	}
+}
+
+// TestLAllocatesOnlyItsResult pins obs.L's cost: the returned string
+// is its one allocation.
+func TestLAllocatesOnlyItsResult(t *testing.T) {
+	allocs := testing.AllocsPerRun(100, func() {
+		_ = L("decide_area_total", "area", "chicago", "engine", "constrained@v1")
+	})
+	if allocs != 1 {
+		t.Errorf("L allocates %v times per call, want 1", allocs)
+	}
+}
+
+// TestSumCounterValuesMatchesSnapshot checks the family index against
+// the snapshot's name scan for every base: labelled families, bare
+// names, a bare name sharing a labelled family, and a base that is a
+// prefix of another.
+func TestSumCounterValuesMatchesSnapshot(t *testing.T) {
+	r := NewRegistry()
+	r.Counter(L("http_requests_total", "route", "decide", "code", "200")).Add(5)
+	r.Counter(L("http_requests_total", "route", "batch", "code", "200")).Add(7)
+	r.Counter(L("http_requests_total", "route", "decide", "code", "429")).Add(2)
+	r.Counter("http_requests_totally_different").Add(100)
+	r.Counter(L("http_requests_totally_different", "k", "v")).Add(1000)
+	r.Counter("http_requests").Add(10000)
+	r.Counter("observe_total").Add(3)
+	r.Counter(L("observe_total", "area", "chicago")).Add(4)
+	r.Counter("untouched_total")
+	for i := 0; i < 50; i++ {
+		r.Counter(L("decide_area_total", "area", fmt.Sprintf("a%03d", i))).Add(int64(i))
+	}
+	r.Gauge("http_requests_total_gauge").Set(1e6)
+	r.Histogram(L("http_requests_total", "route", "decide")).Observe(1e6)
+	snap := r.Snapshot()
+	for _, base := range []string{
+		"http_requests_total", "http_requests_totally_different", "http_requests",
+		"observe_total", "untouched_total", "decide_area_total", "http_requests_total_gauge",
+		"absent_total", "",
+	} {
+		if got, want := r.SumCounterValues(base), snap.SumCounters(base); got != want {
+			t.Errorf("SumCounterValues(%q) = %d, snapshot sums %d", base, got, want)
+		}
+	}
+	if got := r.SumCounterValues("http_requests_total"); got != 14 {
+		t.Errorf("http_requests_total sum = %d, want 14 (prefix collision leaked in?)", got)
+	}
+}
+
+// TestSumCounterValuesConcurrentCreate sums families while other
+// goroutines create and bump counters in them; run with -race. Sums
+// only grow, and the last one is exact.
+func TestSumCounterValuesConcurrentCreate(t *testing.T) {
+	r := NewRegistry()
+	const writers, perWriter = 4, 500
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	sumDone := make(chan struct{})
+	go func() {
+		defer close(sumDone)
+		var last int64
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			got := r.SumCounterValues("created_total")
+			if got < last {
+				t.Errorf("family sum went back: %d after %d", got, last)
+				return
+			}
+			last = got
+		}
+	}()
+	wg.Add(writers)
+	for w := 0; w < writers; w++ {
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				r.Counter(L("created_total", "w", fmt.Sprint(w), "i", fmt.Sprint(i))).Inc()
+				r.Counter(L("other_total", "w", fmt.Sprint(w))).Inc()
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(stop)
+	<-sumDone
+	if got := r.SumCounterValues("created_total"); got != writers*perWriter {
+		t.Errorf("created_total sum = %d, want %d", got, writers*perWriter)
+	}
+	if got := r.SumCounterValues("other_total"); got != writers*perWriter {
+		t.Errorf("other_total sum = %d, want %d", got, writers*perWriter)
+	}
+}
+
+// BenchmarkSumCounterValues sums a three-counter family beside n
+// unrelated per-area counters: the cost must not grow with n.
+func BenchmarkSumCounterValues(b *testing.B) {
+	for _, n := range []int{3, 100000} {
+		b.Run(fmt.Sprintf("areas=%d", n), func(b *testing.B) {
+			r := NewRegistry()
+			for _, choice := range []string{"DET", "TOI", "N-Rand"} {
+				r.Counter(L("decide_total", "choice", choice)).Inc()
+			}
+			for i := 0; i < n; i++ {
+				r.Counter(L("decide_area_total", "area", fmt.Sprintf("area-%06d", i))).Inc()
+			}
+			b.ResetTimer()
+			var sum int64
+			for i := 0; i < b.N; i++ {
+				sum += r.SumCounterValues("decide_total")
+			}
+			if sum != 3*int64(b.N) {
+				b.Fatalf("sum %d, want %d", sum, 3*b.N)
+			}
+		})
+	}
+}
+
+// BenchmarkL is the cost of formatting one labelled metric name.
+func BenchmarkL(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_ = L("decide_area_total", "area", "chicago")
 	}
 }

@@ -117,6 +117,8 @@ func ForEach(ctx context.Context, name string, n, workers int, fn func(ctx conte
 		}()
 	}
 
+	// The queue-depth series is resolved at the first item, not per item.
+	var depth obs.Lazy[obs.Histogram]
 	runItem := func(ctx context.Context, i int) (err error) {
 		defer func() {
 			if r := recover(); r != nil {
@@ -124,7 +126,9 @@ func ForEach(ctx context.Context, name string, n, workers int, fn func(ctx conte
 			}
 		}()
 		if rec.On() {
-			rec.Observe(obs.L("pool_queue_depth", "pool", name), float64(n-i-1))
+			depth.Get(func() *obs.Histogram {
+				return rec.Registry().Histogram(obs.L("pool_queue_depth", "pool", name))
+			}).Observe(float64(n - i - 1))
 		}
 		if err := fn(ctx, i); err != nil {
 			return fmt.Errorf("parallel: pool %s: item %d: %w", name, i, err)

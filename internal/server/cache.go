@@ -58,15 +58,27 @@ func (a AreaState) Validate() error {
 
 // areaRec is the per-area serving record shared by every engine's
 // cache entries: the current state, its statistics version, and the
-// pre-formatted attribution metric names (decide_area_ms{area=...} /
-// decide_area_total{...}) built once so the decide hot path never
-// formats labels. Records are immutable; a stats update builds a fresh
-// one.
+// area's attribution series. Records are immutable; a stats update
+// builds a fresh one that keeps the area's series.
 type areaRec struct {
-	state     AreaState
-	version   uint64
-	latMetric string
-	cntMetric string
+	state   AreaState
+	version uint64
+	metrics *areaMetrics
+}
+
+// areaMetrics are an area's attribution series, decide_area_total and
+// decide_area_ms{area=...}. They are resolved on the area's first
+// decide, so the decide path never formats labels and boot formats
+// none for 100k areas; records of one area share them.
+type areaMetrics struct {
+	cnt obs.Lazy[obs.Counter]
+	lat obs.Lazy[obs.Histogram]
+}
+
+// record counts one decide of area id that took ms milliseconds.
+func (m *areaMetrics) record(reg *obs.Registry, id string, ms float64) {
+	m.cnt.Get(func() *obs.Counter { return reg.Counter(obs.L("decide_area_total", "area", id)) }).Inc()
+	m.lat.Get(func() *obs.Histogram { return reg.Histogram(obs.L("decide_area_ms", "area", id)) }).Observe(ms)
 }
 
 // newAreaRec validates and normalizes one area state.
@@ -75,12 +87,7 @@ func newAreaRec(state AreaState, version uint64) (*areaRec, error) {
 	if err := state.Validate(); err != nil {
 		return nil, err
 	}
-	return &areaRec{
-		state:     state,
-		version:   version,
-		latMetric: obs.L("decide_area_ms", "area", state.ID),
-		cntMetric: obs.L("decide_area_total", "area", state.ID),
-	}, nil
+	return &areaRec{state: state, version: version, metrics: &areaMetrics{}}, nil
 }
 
 // strategy is one immutable cache entry: the area record plus the
@@ -356,14 +363,8 @@ func (c *Cache) Update(id string, b float64, s skirental.Stats) (*strategy, erro
 	if err := state.Validate(); err != nil {
 		return nil, err
 	}
-	// The ID is unchanged, so the previous record's pre-formatted
-	// metric labels carry over instead of being re-rendered.
-	v, err := c.newView(&areaRec{
-		state:     state,
-		version:   prev.version + 1,
-		latMetric: prev.latMetric,
-		cntMetric: prev.cntMetric,
-	})
+	// The ID is unchanged, so the area's series carry over.
+	v, err := c.newView(&areaRec{state: state, version: prev.version + 1, metrics: prev.metrics})
 	if err != nil {
 		return nil, err
 	}

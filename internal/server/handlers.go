@@ -172,8 +172,8 @@ func (s *Server) decide(ctx context.Context, req DecideRequest, defaultSeed uint
 		}
 		rec = v.rec
 		// Per-area latency attribution: the area record carries its
-		// pre-formatted metric names, so the hot path pays two map
-		// lookups and a clock read, never a label format.
+		// resolved series, so the hot path pays a clock read, never a
+		// label format.
 		t0 = time.Now()
 
 		// Cache hit: the request uses the area's default break-even
@@ -214,10 +214,9 @@ func (s *Server) decide(ctx context.Context, req DecideRequest, defaultSeed uint
 	if s.cfg.testHook != nil {
 		s.cfg.testHook()
 	}
-	s.rec.Add(obs.L("decide_total", "choice", dec.Choice), 1)
+	s.decideTotal.Get(dec.Choice).Inc()
 	s.rec.Observe("decide_threshold_sec", dec.ThresholdSec)
-	s.rec.Add(rec.cntMetric, 1)
-	s.rec.Observe(rec.latMetric, float64(time.Since(t0))/float64(time.Millisecond))
+	rec.metrics.record(s.rec.Registry(), rec.state.ID, float64(time.Since(t0))/float64(time.Millisecond))
 	if s.tracer != nil {
 		if sp := obs.SpanFrom(ctx); sp != nil {
 			sp.Set("area", rec.state.ID)

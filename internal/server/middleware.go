@@ -64,6 +64,12 @@ const ledgerHeader = "X-Ledger"
 // healthz and metrics pass limited=false so probes and scrapes keep
 // working while the server sheds decision load.
 func (s *Server) instrument(route string, limited bool, h http.HandlerFunc) http.Handler {
+	// The route's series are resolved on first use, then reused.
+	reg := s.rec.Registry()
+	var latency obs.Lazy[obs.Histogram]
+	requests := obs.NewSeries(func(code int) *obs.Counter {
+		return reg.Counter(obs.L("http_requests_total", "route", route, "code", strconv.Itoa(code)))
+	})
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		reqID := r.Header.Get(requestIDHeader)
 		if reqID == "" {
@@ -75,7 +81,7 @@ func (s *Server) instrument(route string, limited bool, h http.HandlerFunc) http
 			case s.inflight <- struct{}{}:
 				defer func() { <-s.inflight }()
 			default:
-				s.rec.Add(obs.L("http_requests_total", "route", route, "code", "429"), 1)
+				requests.Get(http.StatusTooManyRequests).Inc()
 				s.rec.Add("http_overload_total", 1)
 				writeError(w, http.StatusTooManyRequests, "overloaded",
 					"server at max in-flight requests; retry with backoff")
@@ -105,9 +111,10 @@ func (s *Server) instrument(route string, limited bool, h http.HandlerFunc) http
 			if code == 0 {
 				code = http.StatusOK
 			}
-			s.rec.Add(obs.L("http_requests_total", "route", route, "code", strconv.Itoa(code)), 1)
-			s.rec.Observe(obs.L("http_request_ms", "route", route),
-				float64(time.Since(t0))/float64(time.Millisecond))
+			requests.Get(code).Inc()
+			latency.Get(func() *obs.Histogram {
+				return reg.Histogram(obs.L("http_request_ms", "route", route))
+			}).Observe(float64(time.Since(t0)) / float64(time.Millisecond))
 			span.Set("code", code)
 			span.End()
 		}()

@@ -148,9 +148,9 @@ func (s *Server) observe(ctx context.Context, req ObserveRequest) (*ObserveRespo
 		settled = &out
 		s.rec.Add("ledger_settled_total", 1)
 		s.rec.Observe("ledger_join_ms", float64(out.JoinMS))
-		s.rec.Set(obs.L("cr_empirical", "area", out.Pending.Area, "engine", out.Pending.Engine), out.CR)
+		s.crGauge("cr_empirical", out.Pending).Set(out.CR)
 		if out.Pending.Bound > 0 {
-			s.rec.Set(obs.L("cr_bound", "area", out.Pending.Area, "engine", out.Pending.Engine), out.Pending.Bound)
+			s.crGauge("cr_bound", out.Pending).Set(out.Pending.Bound)
 		}
 		if out.Breach {
 			s.rec.Add("cr_breach_total", 1)
@@ -273,6 +273,26 @@ func (s *Server) observe(ctx context.Context, req ObserveRequest) (*ObserveRespo
 		})
 	}
 	return resp, nil
+}
+
+// crKey names one settle gauge: cr_empirical or cr_bound of one
+// {area, engine}.
+type crKey struct {
+	name, area, engine string
+}
+
+// crGauge returns the settle gauge name{area, engine} of p, formatting
+// its name only the first time the pair settles.
+func (s *Server) crGauge(name string, p ledger.Pending) *obs.Gauge {
+	k := crKey{name, p.Area, p.Engine}
+	s.crMu.Lock()
+	defer s.crMu.Unlock()
+	g := s.crGauges[k]
+	if g == nil {
+		g = s.rec.Registry().Gauge(obs.L(name, "area", p.Area, "engine", p.Engine))
+		s.crGauges[k] = g
+	}
+	return g
 }
 
 // handleObserve serves POST /v1/observe.

@@ -42,6 +42,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -187,11 +188,18 @@ type Server struct {
 	auditW  *obs.JSONLWriter
 	sampler *obs.Sampler
 
-	// bootID prefixes generated request and decision ids; reqSeq and
-	// decSeq number them.
-	bootID string
-	reqSeq atomic.Uint64
-	decSeq atomic.Uint64
+	// reqPrefix and decPrefix (the boot id plus "-" and "-d") start
+	// generated request and decision ids; reqSeq and decSeq number them.
+	reqPrefix, decPrefix string
+	reqSeq               atomic.Uint64
+	decSeq               atomic.Uint64
+
+	// decideTotal resolves decide_total{choice} by choice; crGauges
+	// holds the settle gauges cr_empirical and cr_bound of each
+	// {area, engine}, each resolved once, under crMu.
+	decideTotal *obs.Series[string, obs.Counter]
+	crMu        sync.Mutex
+	crGauges    map[crKey]*obs.Gauge
 
 	mu      sync.Mutex
 	ln      net.Listener
@@ -227,6 +235,7 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
+	reg := cfg.Recorder.Registry()
 	s := &Server{
 		cfg:       cfg,
 		cache:     cache,
@@ -236,6 +245,10 @@ func New(cfg Config) (*Server, error) {
 		rec:       cfg.Recorder,
 		inflight:  make(chan struct{}, cfg.MaxInflight),
 		start:     time.Now(),
+		decideTotal: obs.NewSeries(func(choice string) *obs.Counter {
+			return reg.Counter(obs.L("decide_total", "choice", choice))
+		}),
+		crGauges: make(map[crKey]*obs.Gauge),
 	}
 	if cfg.Restore != nil {
 		// Re-apply the full plane so versions and trackers resume; the
@@ -244,7 +257,8 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 	}
-	s.bootID = fmt.Sprintf("%08x", uint32(s.start.UnixNano()))
+	bootID := fmt.Sprintf("%08x", uint32(s.start.UnixNano()))
+	s.reqPrefix, s.decPrefix = bootID+"-", bootID+"-d"
 	if cfg.TraceLog != nil {
 		s.tracer = obs.NewTracer(obs.NewJSONLWriter(cfg.TraceLog, 4096))
 	}
@@ -299,14 +313,27 @@ func (s *Server) probes() []obs.Probe {
 // a sequence number — cheap, collision-free within a run, and easy to
 // grep across trace spans and audit records.
 func (s *Server) newRequestID() string {
-	return fmt.Sprintf("%s-%07d", s.bootID, s.reqSeq.Add(1))
+	return seqID(s.reqPrefix, s.reqSeq.Add(1), 7)
 }
 
 // newDecisionID mints a process-unique decision id for the
 // competitive-ratio ledger (the "d" keeps it visually distinct from
 // request ids in interleaved logs).
 func (s *Server) newDecisionID() string {
-	return fmt.Sprintf("%s-d%06d", s.bootID, s.decSeq.Add(1))
+	return seqID(s.decPrefix, s.decSeq.Add(1), 6)
+}
+
+// seqID renders prefix and then seq zero-padded to at least width
+// digits: the bytes of fmt's "%s%0*d", without its formatting cost.
+func seqID(prefix string, seq uint64, width int) string {
+	var stack [48]byte
+	b := append(stack[:0], prefix...)
+	var digits [20]byte
+	d := strconv.AppendUint(digits[:0], seq, 10)
+	for i := len(d); i < width; i++ {
+		b = append(b, '0')
+	}
+	return string(append(b, d...))
 }
 
 // History returns the sampler's retained metrics window (the

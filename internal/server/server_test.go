@@ -2,6 +2,8 @@ package server
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"net/http"
 	"strings"
 	"sync"
@@ -134,4 +136,25 @@ func waitHealthy(t *testing.T, base string) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatalf("server at %s never became healthy", base)
+}
+
+// TestSeqIDMatchesFmt pins the generated request and decision ids to
+// the bytes fmt rendered them with.
+func TestSeqIDMatchesFmt(t *testing.T) {
+	for _, seq := range []uint64{0, 1, 42, 999999, 1000000, 9999999, 10000000, 123456789012, math.MaxUint64} {
+		if got, want := seqID("6f1f3a9c-", seq, 7), fmt.Sprintf("%s-%07d", "6f1f3a9c", seq); got != want {
+			t.Errorf("request id %d: %q, want %q", seq, got, want)
+		}
+		if got, want := seqID("6f1f3a9c-d", seq, 6), fmt.Sprintf("%s-d%06d", "6f1f3a9c", seq); got != want {
+			t.Errorf("decision id %d: %q, want %q", seq, got, want)
+		}
+	}
+	s, err := New(Config{Areas: testAreas()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := s.newRequestID()
+	if want := s.reqPrefix + "0000001"; id != want || !strings.HasSuffix(s.reqPrefix, "-") || len(s.reqPrefix) != 9 {
+		t.Errorf("first request id %q, want %q (boot id, dash, 7 digits)", id, want)
+	}
 }
