@@ -58,3 +58,32 @@ func (s *Series[K, M]) Get(k K) *M {
 	s.table.Store(&next)
 	return m
 }
+
+// attachKey files one attached value: the attaching package, then its
+// own key.
+type attachKey struct{ owner, key string }
+
+// Attached returns the value attached to r under (owner, key), building
+// it with mk on first use. A package that publishes one labelled family
+// from many calls (a worker pool on every batch request, say) attaches
+// the handles it resolves to their registry, so they are resolved once
+// per registry and live exactly as long as it; a package-level table
+// keyed by registry would keep every registry alive. owner names the
+// attaching package, so packages cannot collide. mk runs at most once
+// per key, under a lock it must not re-enter through Attached.
+func (r *Registry) Attached(owner, key string, mk func() any) any {
+	k := attachKey{owner, key}
+	r.attachMu.RLock()
+	v, ok := r.attached[k]
+	r.attachMu.RUnlock()
+	if ok {
+		return v
+	}
+	r.attachMu.Lock()
+	defer r.attachMu.Unlock()
+	if v, ok = r.attached[k]; !ok {
+		v = mk()
+		r.attached[k] = v
+	}
+	return v
+}

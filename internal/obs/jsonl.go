@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -48,15 +47,10 @@ type jsonlMsg struct {
 // the writer goroutine copies a line into its group buffer and
 // recycles it, so a record costs no buffer allocation of its own.
 type jsonlLine struct {
-	buf bytes.Buffer
-	enc *json.Encoder
+	buf []byte
 }
 
-var linePool = sync.Pool{New: func() any {
-	l := &jsonlLine{}
-	l.enc = json.NewEncoder(&l.buf)
-	return l
-}}
+var linePool = sync.Pool{New: func() any { return &jsonlLine{buf: make([]byte, 0, 512)} }}
 
 // NewJSONLWriter starts the writer goroutine over w with the given
 // queue capacity (<= 0 means 1024).
@@ -82,7 +76,7 @@ func (j *JSONLWriter) run(w io.Writer) {
 	for msg := range j.ch {
 		records := 0
 		for msg.barrier == nil {
-			buf = append(buf, msg.line.buf.Bytes()...)
+			buf = append(buf, msg.line.buf...)
 			linePool.Put(msg.line)
 			records++
 			select {
@@ -132,19 +126,21 @@ func flushWriter(w io.Writer) error {
 	return nil
 }
 
-// Write marshals v and enqueues it as one line. It never blocks: a
-// full queue, a marshal failure, or a closed writer counts the record
-// as dropped. Every record offered is eventually counted exactly once,
-// as written or as dropped.
+// Write encodes v and enqueues it as one line. A value with an
+// AppendJSON method (a JSONAppender) encodes itself, others go through
+// json.Marshal; both give json.Marshal's bytes, and v is encoded before
+// Write returns. It never blocks: a full queue, an encoding failure
+// (such as a NaN float), or a closed writer counts the record as
+// dropped. Every record offered is eventually counted exactly once, as
+// written or as dropped.
 func (j *JSONLWriter) Write(v any) {
 	if j == nil {
 		return
 	}
-	// Encode writes the bytes of json.Marshal plus the newline, and
-	// nothing at all when it fails.
 	line := linePool.Get().(*jsonlLine)
-	line.buf.Reset()
-	if err := line.enc.Encode(v); err != nil {
+	b, err := appendJSON(line.buf[:0], v)
+	line.buf = append(b, '\n')
+	if err != nil {
 		linePool.Put(line)
 		j.dropped.Add(1)
 		return

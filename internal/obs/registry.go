@@ -20,6 +20,10 @@ type Registry struct {
 	families map[string][]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
+	// attached holds the values packages attach to the registry (see
+	// Attached), under attachMu.
+	attachMu sync.RWMutex
+	attached map[attachKey]any
 }
 
 // NewRegistry returns an empty registry.
@@ -29,6 +33,7 @@ func NewRegistry() *Registry {
 		families: make(map[string][]*Counter),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
+		attached: make(map[attachKey]any),
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"math"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -188,11 +189,11 @@ func TestSnapshotPrometheus(t *testing.T) {
 }
 
 func TestPrometheusLabelMerging(t *testing.T) {
-	if got := withLabel(`h{a="b"}`, "quantile", "0.5"); got != `h{a="b",quantile="0.5"}` {
-		t.Errorf("withLabel: %q", got)
+	if got := string(appendWithLabel(nil, `h{a="b"}`, "quantile", "0.5")); got != `h{a="b",quantile="0.5"}` {
+		t.Errorf("appendWithLabel: %q", got)
 	}
-	if got := suffixed(`h{a="b"}`, "_sum"); got != `h_sum{a="b"}` {
-		t.Errorf("suffixed: %q", got)
+	if got := string(appendSuffixed(nil, `h{a="b"}`, "_sum")); got != `h_sum{a="b"}` {
+		t.Errorf("appendSuffixed: %q", got)
 	}
 	if got := baseName(`h{a="b"}`); got != "h" {
 		t.Errorf("baseName: %q", got)
@@ -321,5 +322,52 @@ func BenchmarkL(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = L("decide_area_total", "area", "chicago")
+	}
+}
+
+// TestRegistryAttached: one value per (owner, key) and registry, built
+// once and returned on every later call.
+func TestRegistryAttached(t *testing.T) {
+	a, b := NewRegistry(), NewRegistry()
+	builds := 0
+	mk := func() any { builds++; return new(int) }
+	first := a.Attached("pkg", "k", mk)
+	if again := a.Attached("pkg", "k", mk); again != first || builds != 1 {
+		t.Errorf("second Attached = %p after %d builds, want %p after 1", again, builds, first)
+	}
+	if other := a.Attached("other", "k", mk); other == first {
+		t.Error("owners share one key's value")
+	}
+	if other := b.Attached("pkg", "k", mk); other == first {
+		t.Error("registries share one key's value")
+	}
+	if builds != 3 {
+		t.Errorf("%d builds, want 3", builds)
+	}
+}
+
+// TestRegistryAttachedConcurrent: goroutines racing on a key's first
+// use all get the one value, built once.
+func TestRegistryAttachedConcurrent(t *testing.T) {
+	r := NewRegistry()
+	var builds atomic.Int64
+	const n = 16
+	got := make([]any, n)
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for i := 0; i < n; i++ {
+		go func(i int) {
+			defer wg.Done()
+			got[i] = r.Attached("pkg", "pool", func() any { builds.Add(1); return new(int) })
+		}(i)
+	}
+	wg.Wait()
+	for i := range got {
+		if got[i] != got[0] {
+			t.Fatalf("goroutine %d got %p, goroutine 0 %p", i, got[i], got[0])
+		}
+	}
+	if b := builds.Load(); b != 1 {
+		t.Errorf("%d builds, want 1", b)
 	}
 }

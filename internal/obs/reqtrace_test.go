@@ -28,15 +28,15 @@ func TestTracerEmitsSpanRecords(t *testing.T) {
 	var buf bytes.Buffer
 	tr := NewTracer(NewJSONLWriter(&buf, 16))
 	ctx, sp := tr.Start(context.Background(), "http_request", "req-1")
-	sp.Set("route", "decide")
+	sp.SetString("route", "decide")
 
 	if got := SpanFrom(ctx); got != sp {
 		t.Fatal("SpanFrom did not return the started span")
 	}
 	child := sp.Child("decide_item")
-	child.Set("index", 3)
+	child.SetInt("index", 3)
 	child.End()
-	sp.Set("code", 200)
+	sp.SetInt("code", 200)
 	sp.End()
 	sp.End() // idempotent
 	if err := tr.Close(); err != nil {
@@ -70,7 +70,7 @@ func TestNilTracerAndSpanAreNoOps(t *testing.T) {
 	if sp != nil {
 		t.Fatal("nil tracer returned a span")
 	}
-	sp.Set("k", 1)
+	sp.SetInt("k", 1)
 	sp.End()
 	if c := sp.Child("y"); c != nil {
 		t.Error("nil span Child returned non-nil")
@@ -101,7 +101,7 @@ func TestSpanSetAfterEndIgnored(t *testing.T) {
 	tr := NewTracer(NewJSONLWriter(&buf, 4))
 	_, sp := tr.Start(context.Background(), "s", "r")
 	sp.End()
-	sp.Set("late", true)
+	sp.SetBool("late", true)
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,11 @@
 package obs
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -193,29 +195,65 @@ func ReadSnapshot(r io.Reader) (Snapshot, error) {
 
 // WritePrometheus writes the snapshot in Prometheus text exposition
 // format. Histograms are rendered as summaries (quantile-labelled
-// gauges plus _sum and _count).
+// gauges plus _sum and _count). The text streams through a buffered
+// writer, line by line, so a scrape of a 100k-series registry holds one
+// buffer instead of building its whole body first.
 func (s Snapshot) WritePrometheus(w io.Writer) error {
-	var b strings.Builder
+	bw := bufio.NewWriterSize(w, 32<<10)
+	var line []byte
 	for _, c := range s.Counters {
-		fmt.Fprintf(&b, "# TYPE %s counter\n%s %d\n", baseName(c.Name), c.Name, c.Value)
+		line = appendTypeLine(line[:0], c.Name, "counter")
+		line = append(line, c.Name...)
+		line = append(line, ' ')
+		line = strconv.AppendInt(line, c.Value, 10)
+		bw.Write(append(line, '\n'))
 	}
 	for _, g := range s.Gauges {
-		fmt.Fprintf(&b, "# TYPE %s gauge\n%s %v\n", baseName(g.Name), g.Name, g.Value)
+		line = appendTypeLine(line[:0], g.Name, "gauge")
+		line = append(line, g.Name...)
+		line = append(line, ' ')
+		line = appendFloatV(line, g.Value)
+		bw.Write(append(line, '\n'))
 	}
 	for _, h := range s.Histograms {
-		base := baseName(h.Name)
-		fmt.Fprintf(&b, "# TYPE %s summary\n", base)
+		line = appendTypeLine(line[:0], h.Name, "summary")
 		for _, qv := range []struct {
 			q string
 			v float64
 		}{{"0.5", h.P50}, {"0.9", h.P90}, {"0.99", h.P99}} {
-			fmt.Fprintf(&b, "%s %v\n", withLabel(h.Name, "quantile", qv.q), qv.v)
+			line = appendWithLabel(line, h.Name, "quantile", qv.q)
+			line = append(line, ' ')
+			line = appendFloatV(line, qv.v)
+			line = append(line, '\n')
 		}
-		fmt.Fprintf(&b, "%s %v\n", suffixed(h.Name, "_sum"), h.Sum)
-		fmt.Fprintf(&b, "%s %d\n", suffixed(h.Name, "_count"), h.Count)
+		line = appendSuffixed(line, h.Name, "_sum")
+		line = append(line, ' ')
+		line = appendFloatV(line, h.Sum)
+		line = append(line, '\n')
+		line = appendSuffixed(line, h.Name, "_count")
+		line = append(line, ' ')
+		line = strconv.AppendUint(line, h.Count, 10)
+		bw.Write(append(line, '\n'))
 	}
-	_, err := io.WriteString(w, b.String())
-	return err
+	return bw.Flush()
+}
+
+// appendTypeLine appends the "# TYPE base kind" line of a metric.
+func appendTypeLine(b []byte, name, kind string) []byte {
+	b = append(b, "# TYPE "...)
+	b = append(b, baseName(name)...)
+	b = append(b, ' ')
+	b = append(b, kind...)
+	return append(b, '\n')
+}
+
+// appendFloatV appends v as fmt's %v prints a float64: strconv's
+// shortest 'g' form, with an explicit sign on +Inf.
+func appendFloatV(b []byte, v float64) []byte {
+	if math.IsInf(v, 1) {
+		return append(b, "+Inf"...)
+	}
+	return strconv.AppendFloat(b, v, 'g', -1, 64)
 }
 
 // baseName strips the label block from a formatted metric name.
@@ -226,18 +264,31 @@ func baseName(name string) string {
 	return name
 }
 
-// withLabel adds one label to a possibly already-labelled name.
-func withLabel(name, key, value string) string {
+// appendWithLabel appends name with one more label added to its label
+// block (opening one when it has none); the value is quoted as %q
+// quotes it.
+func appendWithLabel(b []byte, name, key, value string) []byte {
 	if strings.IndexByte(name, '{') >= 0 {
-		return name[:len(name)-1] + fmt.Sprintf(",%s=%q}", key, value)
+		b = append(b, name[:len(name)-1]...)
+		b = append(b, ',')
+	} else {
+		b = append(b, name...)
+		b = append(b, '{')
 	}
-	return fmt.Sprintf("%s{%s=%q}", name, key, value)
+	b = append(b, key...)
+	b = append(b, '=')
+	b = strconv.AppendQuote(b, value)
+	return append(b, '}')
 }
 
-// suffixed appends a suffix to the base name, keeping any label block.
-func suffixed(name, suffix string) string {
-	if i := strings.IndexByte(name, '{'); i >= 0 {
-		return name[:i] + suffix + name[i:]
+// appendSuffixed appends name with a suffix on its base name, keeping
+// any label block.
+func appendSuffixed(b []byte, name, suffix string) []byte {
+	i := strings.IndexByte(name, '{')
+	if i < 0 {
+		i = len(name)
 	}
-	return name + suffix
+	b = append(b, name[:i]...)
+	b = append(b, suffix...)
+	return append(b, name[i:]...)
 }

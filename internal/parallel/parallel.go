@@ -103,32 +103,30 @@ func ForEach(ctx context.Context, name string, n, workers int, fn func(ctx conte
 		workers = n
 	}
 	rec := obs.FromContext(ctx)
+	var m *poolSeries
 	var t0 time.Time
 	var done atomic.Int64
 	if rec.On() {
+		m = poolSeriesOf(rec.Registry(), name)
 		t0 = time.Now()
-		rec.Set(obs.L("pool_workers", "pool", name), float64(workers))
+		m.workers.Get(func() *obs.Gauge { return m.reg.Gauge(m.label("pool_workers")) }).Set(float64(workers))
 		defer func() {
 			completed := done.Load()
-			rec.Add(obs.L("pool_tasks_total", "pool", name), completed)
+			m.tasks.Get(func() *obs.Counter { return m.reg.Counter(m.label("pool_tasks_total")) }).Add(completed)
 			if dt := time.Since(t0).Seconds(); dt > 0 {
-				rec.Set(obs.L("pool_tasks_per_sec", "pool", name), float64(completed)/dt)
+				m.rate.Get(func() *obs.Gauge { return m.reg.Gauge(m.label("pool_tasks_per_sec")) }).Set(float64(completed) / dt)
 			}
 		}()
 	}
 
-	// The queue-depth series is resolved at the first item, not per item.
-	var depth obs.Lazy[obs.Histogram]
 	runItem := func(ctx context.Context, i int) (err error) {
 		defer func() {
 			if r := recover(); r != nil {
 				err = &PanicError{Pool: name, Index: i, Value: r, Stack: debug.Stack()}
 			}
 		}()
-		if rec.On() {
-			depth.Get(func() *obs.Histogram {
-				return rec.Registry().Histogram(obs.L("pool_queue_depth", "pool", name))
-			}).Observe(float64(n - i - 1))
+		if m != nil {
+			m.depth.Get(func() *obs.Histogram { return m.reg.Histogram(m.label("pool_queue_depth")) }).Observe(float64(n - i - 1))
 		}
 		if err := fn(ctx, i); err != nil {
 			return fmt.Errorf("parallel: pool %s: item %d: %w", name, i, err)
@@ -192,6 +190,26 @@ func ForEach(ctx context.Context, name string, n, workers int, fn func(ctx conte
 	}
 	return firstErr
 }
+
+// poolSeries are one pool's four series in one registry. Each is
+// created on its first use, exactly when the by-name call created it,
+// and then served from here, so a pool formats its labels once per
+// registry instead of on every call.
+type poolSeries struct {
+	reg           *obs.Registry
+	name          string
+	workers, rate obs.Lazy[obs.Gauge]
+	tasks         obs.Lazy[obs.Counter]
+	depth         obs.Lazy[obs.Histogram]
+}
+
+// poolSeriesOf returns the series of pool name in reg.
+func poolSeriesOf(reg *obs.Registry, name string) *poolSeries {
+	return reg.Attached("parallel", name, func() any { return &poolSeries{reg: reg, name: name} }).(*poolSeries)
+}
+
+// label names the pool's series of one family, family{pool=name}.
+func (m *poolSeries) label(family string) string { return obs.L(family, "pool", m.name) }
 
 // Map runs fn(ctx, i) for every i in [0, n) on a bounded pool and
 // returns the results in input order, invariant to the worker count. It

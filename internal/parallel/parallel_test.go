@@ -192,6 +192,37 @@ func TestPoolMetricsPublished(t *testing.T) {
 	}
 }
 
+// TestPoolSeriesResolvedOncePerRegistry: a pool's series are resolved
+// once per (registry, pool name), so a call with a recorder allocates
+// no more than one without, and each registry still gets its own
+// series with the same values.
+func TestPoolSeriesResolvedOncePerRegistry(t *testing.T) {
+	noop := func(context.Context, int) error { return nil }
+	recA, recB := obs.NewRecorder("a", nil, nil), obs.NewRecorder("b", nil, nil)
+	ctxA, ctxB := obs.WithRecorder(context.Background(), recA), obs.WithRecorder(context.Background(), recB)
+	if err := ForEach(ctxA, "unit", 4, 1, noop); err != nil {
+		t.Fatal(err)
+	}
+	with := testing.AllocsPerRun(100, func() { _ = ForEach(ctxA, "unit", 4, 1, noop) })
+	without := testing.AllocsPerRun(100, func() { _ = ForEach(context.Background(), "unit", 4, 1, noop) })
+	if with > without {
+		t.Errorf("ForEach allocates %v times with a recorder, %v without: labels formatted per call", with, without)
+	}
+	if err := ForEach(ctxB, "unit", 3, 1, noop); err != nil {
+		t.Fatal(err)
+	}
+	// AllocsPerRun makes one warm-up call before its 100 runs.
+	if got := recA.Registry().Counter(obs.L("pool_tasks_total", "pool", "unit")).Value(); got != 4*102 {
+		t.Errorf("registry a pool_tasks_total = %d, want %d", got, 4*102)
+	}
+	if got := recB.Registry().Counter(obs.L("pool_tasks_total", "pool", "unit")).Value(); got != 3 {
+		t.Errorf("registry b pool_tasks_total = %d, want 3", got)
+	}
+	if got := recB.Registry().Gauge(obs.L("pool_workers", "pool", "unit")).Value(); got != 1 {
+		t.Errorf("registry b pool_workers = %v, want 1", got)
+	}
+}
+
 func TestMapResultsIdenticalAcrossWorkerCounts(t *testing.T) {
 	// The headline guarantee at engine level: RNG-bearing work merged
 	// by Map is invariant to the worker count because every item draws

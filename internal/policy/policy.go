@@ -23,6 +23,7 @@ package policy
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand/v2"
 	"regexp"
@@ -30,6 +31,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"idlereduce/internal/predict"
 )
@@ -235,7 +237,17 @@ func Prepare(eng Engine, s Stats, params map[string]float64) (Strategy, error) {
 var (
 	regMu    sync.RWMutex
 	registry = map[string]Engine{}
+	// specs holds each registered engine's rendered spec by name.
+	// Register replaces the map under regMu, so Spec reads it with one
+	// atomic load and formats nothing.
+	specs atomic.Pointer[map[string]engineSpec]
 )
+
+// engineSpec is one registered engine's "name@vN", rendered once.
+type engineSpec struct {
+	version int
+	spec    string
+}
 
 // nameRE pins registry keys to lowercase identifiers so wire specs
 // normalize trivially.
@@ -258,6 +270,11 @@ func Register(e Engine) {
 		panic(fmt.Sprintf("policy: duplicate engine registration %q", name))
 	}
 	registry[name] = e
+	next := map[string]engineSpec{name: {e.Version(), renderSpec(name, e.Version())}}
+	if cur := specs.Load(); cur != nil {
+		maps.Copy(next, *cur)
+	}
+	specs.Store(&next)
 }
 
 // Names returns the registered engine names, sorted.
@@ -280,8 +297,22 @@ func Get(name string) (Engine, bool) {
 	return e, ok
 }
 
-// Spec renders an engine's canonical pinned spec, "name@vN".
-func Spec(e Engine) string { return fmt.Sprintf("%s@v%d", e.Name(), e.Version()) }
+// Spec renders an engine's canonical pinned spec, "name@vN". The spec
+// of a registered engine is rendered once, at registration, and every
+// call returns that string.
+func Spec(e Engine) string {
+	name, version := e.Name(), e.Version()
+	if m := specs.Load(); m != nil {
+		if s, ok := (*m)[name]; ok && s.version == version {
+			return s.spec
+		}
+	}
+	return renderSpec(name, version)
+}
+
+func renderSpec(name string, version int) string {
+	return name + "@v" + strconv.Itoa(version)
+}
 
 // Lookup resolves a wire engine spec: "" (the default engine), "name"
 // (any version), or "name@vN" (exactly version N). Specs are

@@ -122,6 +122,27 @@ func TestSpecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSpecRenderedOnce: a registered engine's spec keeps fmt's
+// "%s@v%d" bytes and costs no formatting per call; an engine the
+// registry does not know under that name and version still renders.
+func TestSpecRenderedOnce(t *testing.T) {
+	for _, n := range Names() {
+		e, _ := Get(n)
+		want := fmt.Sprintf("%s@v%d", e.Name(), e.Version())
+		if got := Spec(e); got != want {
+			t.Errorf("Spec(%s) = %q, want %q", n, got, want)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { _ = Spec(e) }); allocs != 0 {
+			t.Errorf("Spec(%s) allocates %v times per call, want 0", n, allocs)
+		}
+	}
+	for _, e := range []Engine{fakeEngine{name: "never-registered", version: 3}, fakeEngine{name: DefaultEngine, version: 9}} {
+		if got, want := Spec(e), fmt.Sprintf("%s@v%d", e.Name(), e.Version()); got != want {
+			t.Errorf("Spec(%+v) = %q, want %q", e, got, want)
+		}
+	}
+}
+
 // TestConstrainedMatchesSkirental: the engine's decisions must be the
 // skirental policy verbatim (the byte-identity bedrock the serving
 // refactor stands on).

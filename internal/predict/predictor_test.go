@@ -56,5 +56,5 @@ func TestPredictors(t *testing.T) {
 
 func TestRecordQualityNilSafe(t *testing.T) {
 	// Must not panic on a nil recorder.
-	RecordQuality(nil, "area", 28, 10, 20)
+	RecordQuality(nil, nil, 28, 10, 20)
 }

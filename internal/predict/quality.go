@@ -21,12 +21,18 @@ const (
 	MetricRegret = "predict_regret_total"
 )
 
+// AreaErrAbs names an area's labelled twin of MetricErrAbs,
+// predict_err_abs_sec{area="..."}.
+func AreaErrAbs(area string) string { return obs.L(MetricErrAbs, "area", area) }
+
 // RecordQuality publishes one prediction-vs-outcome pair of an
-// observed area to the metrics recorder: error histograms (global plus
-// per-area) and the consistency/regret side counters. Its one caller is
-// POST /v1/observe, for observations that carry the forecast made for
-// the stop; rec nil-checks like every obs sink.
-func RecordQuality(rec *obs.Recorder, area string, b, predicted, actual float64) {
+// observed area to the metrics recorder: the error histograms (global,
+// plus areaErr, the area's AreaErrAbs histogram, which the caller
+// resolves once per area so no observe formats its name) and the
+// consistency/regret side counters. Its one caller is POST /v1/observe,
+// for observations that carry the forecast made for the stop; rec
+// nil-checks like every obs sink, and a nil areaErr is skipped.
+func RecordQuality(rec *obs.Recorder, areaErr *obs.Histogram, b, predicted, actual float64) {
 	if !rec.On() {
 		return
 	}
@@ -37,7 +43,9 @@ func RecordQuality(rec *obs.Recorder, area string, b, predicted, actual float64)
 	}
 	rec.Observe(MetricErrAbs, abs)
 	rec.Observe(MetricErrSigned, err)
-	rec.Observe(obs.L(MetricErrAbs, "area", area), abs)
+	if areaErr != nil {
+		areaErr.Observe(abs)
+	}
 	// Side agreement is what decides whether advice helps: the blend
 	// only needs the forecast on the correct side of B, not its exact
 	// value.

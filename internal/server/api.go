@@ -2,11 +2,14 @@ package server
 
 // Wire types of the idled HTTP API (see docs/SERVER.md). All request
 // bodies are JSON with unknown fields rejected, so client typos surface
-// as 400s instead of silently ignored options.
+// as 400s instead of silently ignored options. The replies the serving
+// paths write per request encode themselves (AppendJSON, pinned to
+// json.Marshal's bytes); the cold listings stay on encoding/json.
 
 import (
 	"fmt"
 
+	"idlereduce/internal/obs"
 	"idlereduce/internal/policy"
 	"idlereduce/internal/predict"
 )
@@ -73,6 +76,22 @@ type PredictionBlock struct {
 	M2 *float64 `json:"m2,omitempty"`
 }
 
+// AppendJSON appends the bytes json.Marshal gives p.
+func (p PredictionBlock) AppendJSON(dst []byte) ([]byte, error) {
+	o := obs.NewJSONObject(dst)
+	o.Float("predicted_stop_s", p.PredictedStopSec)
+	if p.Confidence != nil {
+		o.Float("confidence", *p.Confidence)
+	}
+	if p.M1 != nil {
+		o.Float("m1", *p.M1)
+	}
+	if p.M2 != nil {
+		o.Float("m2", *p.M2)
+	}
+	return o.End()
+}
+
 // toPrediction normalizes and validates the wire block. Errors wrap
 // predict.ErrBadPrediction and map to the wire code invalid_prediction.
 func (p *PredictionBlock) toPrediction() (predict.Prediction, error) {
@@ -132,11 +151,67 @@ type DecideResponse struct {
 	DecisionID string `json:"decision_id,omitempty"`
 }
 
+// AppendJSON appends the bytes json.Marshal gives r (see
+// obs.JSONAppender).
+func (r DecideResponse) AppendJSON(dst []byte) ([]byte, error) {
+	o := obs.NewJSONObject(dst)
+	o.String("vehicle_id", r.VehicleID)
+	o.String("area", r.Area)
+	o.Float("b", r.B)
+	o.String("choice", r.Choice)
+	o.Float("threshold_sec", r.ThresholdSec)
+	o.Float("worst_case_cost", r.WorstCaseCost)
+	o.Float("worst_case_cr", r.WorstCaseCR)
+	o.Uint("seed", r.Seed)
+	o.Bool("cached", r.Cached)
+	if r.Policy != "" {
+		o.String("policy", r.Policy)
+	}
+	if len(r.Schedule) > 0 {
+		o.Key("schedule")
+		o.Raw(appendArray(o.Bytes(), r.Schedule))
+	}
+	if r.Explain != "" {
+		o.String("explain", r.Explain)
+	}
+	if r.DecisionID != "" {
+		o.String("decision_id", r.DecisionID)
+	}
+	return o.End()
+}
+
 // ScheduleAction is one rung of a multi-state decision ladder: enter
 // State once the stop has lasted AtSec seconds.
 type ScheduleAction struct {
 	State string  `json:"state"`
 	AtSec float64 `json:"at_sec"`
+}
+
+// AppendJSON appends the bytes json.Marshal gives a.
+func (a ScheduleAction) AppendJSON(dst []byte) ([]byte, error) {
+	o := obs.NewJSONObject(dst)
+	o.String("state", a.State)
+	o.Float("at_sec", a.AtSec)
+	return o.End()
+}
+
+// appendArray appends items as json.Marshal writes a slice of them: a
+// JSON array, or null for a nil slice.
+func appendArray[T obs.JSONAppender](dst []byte, items []T) ([]byte, error) {
+	if items == nil {
+		return append(dst, "null"...), nil
+	}
+	dst = append(dst, '[')
+	for i := range items {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		var err error
+		if dst, err = items[i].AppendJSON(dst); err != nil {
+			return dst, err
+		}
+	}
+	return append(dst, ']'), nil
 }
 
 // BatchDecideRequest fans one decision per item over the server's
@@ -156,10 +231,33 @@ type BatchItem struct {
 	Error    *APIError       `json:"error,omitempty"`
 }
 
+// AppendJSON appends the bytes json.Marshal gives it.
+func (it BatchItem) AppendJSON(dst []byte) ([]byte, error) {
+	o := obs.NewJSONObject(dst)
+	if it.Decision != nil {
+		o.Key("decision")
+		o.Raw(it.Decision.AppendJSON(o.Bytes()))
+	}
+	if it.Error != nil {
+		o.Key("error")
+		o.Raw(it.Error.AppendJSON(o.Bytes()))
+	}
+	return o.End()
+}
+
 // BatchDecideResponse carries the order-preserving batch results.
 type BatchDecideResponse struct {
 	Seed    uint64      `json:"seed"`
 	Results []BatchItem `json:"results"`
+}
+
+// AppendJSON appends the bytes json.Marshal gives r.
+func (r BatchDecideResponse) AppendJSON(dst []byte) ([]byte, error) {
+	o := obs.NewJSONObject(dst)
+	o.Uint("seed", r.Seed)
+	o.Key("results")
+	o.Raw(appendArray(o.Bytes(), r.Results))
+	return o.End()
 }
 
 // StatsUpdateRequest replaces one area's constrained statistics
@@ -284,6 +382,33 @@ type ObserveResponse struct {
 	OptCost    float64 `json:"opt_cost,omitempty"`
 }
 
+// AppendJSON appends the bytes json.Marshal gives r.
+func (r ObserveResponse) AppendJSON(dst []byte) ([]byte, error) {
+	o := obs.NewJSONObject(dst)
+	o.String("area", r.Area)
+	o.Int("seq", r.Seq)
+	o.Bool("warm", r.Warm)
+	o.Float("mu", r.Mu)
+	o.Float("q", r.Q)
+	if r.Alarm {
+		o.Bool("alarm", true)
+	}
+	if r.Retuned {
+		o.Bool("retuned", true)
+	}
+	o.Uint("stats_version", r.StatsVersion)
+	if r.Settled {
+		o.Bool("settled", true)
+	}
+	if r.OnlineCost != 0 {
+		o.Float("online_cost", r.OnlineCost)
+	}
+	if r.OptCost != 0 {
+		o.Float("opt_cost", r.OptCost)
+	}
+	return o.End()
+}
+
 // BatchObserveRequest streams several observations in one request.
 // Items are applied strictly in input order (observations on one area
 // form a sequential stream), so the reply is deterministic.
@@ -298,6 +423,20 @@ type BatchObserveItem struct {
 	Error  *APIError        `json:"error,omitempty"`
 }
 
+// AppendJSON appends the bytes json.Marshal gives it.
+func (it BatchObserveItem) AppendJSON(dst []byte) ([]byte, error) {
+	o := obs.NewJSONObject(dst)
+	if it.Result != nil {
+		o.Key("result")
+		o.Raw(it.Result.AppendJSON(o.Bytes()))
+	}
+	if it.Error != nil {
+		o.Key("error")
+		o.Raw(it.Error.AppendJSON(o.Bytes()))
+	}
+	return o.End()
+}
+
 // BatchObserveResponse carries the order-preserving batch results plus
 // roll-up counts so load generators don't re-scan items.
 type BatchObserveResponse struct {
@@ -309,6 +448,20 @@ type BatchObserveResponse struct {
 	Retunes  int `json:"retunes"`
 	// Settled counts ledger decisions the batch settled.
 	Settled int `json:"settled,omitempty"`
+}
+
+// AppendJSON appends the bytes json.Marshal gives r.
+func (r BatchObserveResponse) AppendJSON(dst []byte) ([]byte, error) {
+	o := obs.NewJSONObject(dst)
+	o.Key("results")
+	o.Raw(appendArray(o.Bytes(), r.Results))
+	o.Int("accepted", int64(r.Accepted))
+	o.Int("alarms", int64(r.Alarms))
+	o.Int("retunes", int64(r.Retunes))
+	if r.Settled != 0 {
+		o.Int("settled", int64(r.Settled))
+	}
+	return o.End()
 }
 
 // APIError is the structured error body every non-2xx reply carries:
@@ -327,9 +480,26 @@ type APIError struct {
 	Status int `json:"status"`
 }
 
+// AppendJSON appends the bytes json.Marshal gives e.
+func (e APIError) AppendJSON(dst []byte) ([]byte, error) {
+	o := obs.NewJSONObject(dst)
+	o.String("code", e.Code)
+	o.String("message", e.Message)
+	o.Int("status", int64(e.Status))
+	return o.End()
+}
+
 // ErrorResponse wraps APIError as the JSON error envelope.
 type ErrorResponse struct {
 	Error APIError `json:"error"`
+}
+
+// AppendJSON appends the bytes json.Marshal gives r.
+func (r ErrorResponse) AppendJSON(dst []byte) ([]byte, error) {
+	o := obs.NewJSONObject(dst)
+	o.Key("error")
+	o.Raw(r.Error.AppendJSON(o.Bytes()))
+	return o.End()
 }
 
 // HealthResponse is the GET /healthz body. Version labels let

@@ -7,10 +7,12 @@ import (
 	"io"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"strings"
 
 	"idlereduce/internal/adaptive"
 	"idlereduce/internal/ledger"
+	"idlereduce/internal/obs"
 	"idlereduce/internal/parallel"
 	"idlereduce/internal/policy"
 	"idlereduce/internal/skirental"
@@ -71,6 +73,68 @@ type AuditRecord struct {
 	CRBound float64 `json:"cr_bound,omitempty"`
 }
 
+// AppendJSON appends the bytes json.Marshal gives r (see
+// obs.JSONAppender). The receiver is a value, as the sinks are handed
+// records by value.
+func (r AuditRecord) AppendJSON(dst []byte) ([]byte, error) {
+	o := obs.NewJSONObject(dst)
+	o.Int("ts_unix_ms", r.TSUnixMS)
+	if r.RequestID != "" {
+		o.String("request_id", r.RequestID)
+	}
+	o.String("vehicle_id", r.VehicleID)
+	o.String("area", r.Area)
+	o.Uint("stats_version", r.StatsVersion)
+	o.Float("b", r.B)
+	o.Float("mu", r.Mu)
+	o.Float("q", r.Q)
+	o.Uint("seed", r.Seed)
+	o.Uint("stream", r.Stream)
+	o.String("choice", r.Choice)
+	o.Float("threshold_sec", r.ThresholdSec)
+	if r.Policy != "" {
+		o.String("policy", r.Policy)
+	}
+	if r.PolicyVersion != 0 {
+		o.Int("policy_version", int64(r.PolicyVersion))
+	}
+	if len(r.Schedule) > 0 {
+		o.Key("schedule")
+		o.Raw(appendArray(o.Bytes(), r.Schedule))
+	}
+	if len(r.Params) > 0 {
+		o.Key("params")
+		o.Raw(appendParams(o.Bytes(), r.Params))
+	}
+	if r.Prediction != nil {
+		o.Key("prediction")
+		o.Raw(r.Prediction.AppendJSON(o.Bytes()))
+	}
+	if r.DecisionID != "" {
+		o.String("decision_id", r.DecisionID)
+	}
+	if r.CRBound != 0 {
+		o.Float("cr_bound", r.CRBound)
+	}
+	return o.End()
+}
+
+// appendParams appends engine params as json.Marshal writes the map:
+// an object with its keys sorted.
+func appendParams(dst []byte, params map[string]float64) ([]byte, error) {
+	var stack [8]string
+	keys := stack[:0]
+	for k := range params {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	o := obs.NewJSONObject(dst)
+	for _, k := range keys {
+		o.Float(k, params[k])
+	}
+	return o.End()
+}
+
 // observeKind tags observe-stream audit records. Decide records carry
 // no kind field (they predate the tag), so old logs keep verifying.
 const observeKind = "observe"
@@ -113,6 +177,32 @@ type SettleRecord struct {
 	// predate that tie fix; they replay under the strict y > x rule they
 	// were written with (strictOnlineCost), so old logs still verify.
 	Eq3 bool `json:"eq3,omitempty"`
+}
+
+// AppendJSON appends the bytes json.Marshal gives r.
+func (r SettleRecord) AppendJSON(dst []byte) ([]byte, error) {
+	o := obs.NewJSONObject(dst)
+	o.String("kind", r.Kind)
+	o.Int("ts_unix_ms", r.TSUnixMS)
+	if r.RequestID != "" {
+		o.String("request_id", r.RequestID)
+	}
+	o.String("decision_id", r.DecisionID)
+	o.String("area", r.Area)
+	o.String("engine", r.Engine)
+	o.Float("b", r.B)
+	o.Float("threshold_sec", r.ThresholdSec)
+	o.Float("stop_sec", r.StopSec)
+	o.Float("online_cost", r.OnlineCost)
+	o.Float("opt_cost", r.OptCost)
+	if r.Bound != 0 {
+		o.Float("bound", r.Bound)
+	}
+	o.Int("join_ms", r.JoinMS)
+	if r.Eq3 {
+		o.Bool("eq3", true)
+	}
+	return o.End()
 }
 
 // ObserveRecord is one line of the observation audit stream: the
@@ -161,6 +251,41 @@ type ObserveRecord struct {
 	// replay).
 	Mu float64 `json:"mu"`
 	Q  float64 `json:"q"`
+}
+
+// AppendJSON appends the bytes json.Marshal gives r.
+func (r ObserveRecord) AppendJSON(dst []byte) ([]byte, error) {
+	o := obs.NewJSONObject(dst)
+	o.String("kind", r.Kind)
+	o.Int("ts_unix_ms", r.TSUnixMS)
+	if r.RequestID != "" {
+		o.String("request_id", r.RequestID)
+	}
+	if r.VehicleID != "" {
+		o.String("vehicle_id", r.VehicleID)
+	}
+	o.String("area", r.Area)
+	o.Int("seq", r.Seq)
+	o.Float("b", r.B)
+	o.Float("forgetting", r.Forgetting)
+	o.Float("stop_sec", r.StopSec)
+	o.Float("prev_w", r.PrevW)
+	o.Float("prev_mu_sum", r.PrevMuSum)
+	o.Float("prev_q_sum", r.PrevQSum)
+	o.Float("w", r.W)
+	o.Float("mu_sum", r.MuSum)
+	o.Float("q_sum", r.QSum)
+	o.Bool("warm", r.Warm)
+	if r.Alarm {
+		o.Bool("alarm", true)
+	}
+	if r.Retuned {
+		o.Bool("retuned", true)
+	}
+	o.Uint("stats_version", r.StatsVersion)
+	o.Float("mu", r.Mu)
+	o.Float("q", r.Q)
+	return o.End()
 }
 
 // AuditVerifyReport summarizes one replay-verification pass.

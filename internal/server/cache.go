@@ -12,6 +12,7 @@ import (
 
 	"idlereduce/internal/obs"
 	"idlereduce/internal/policy"
+	"idlereduce/internal/predict"
 	"idlereduce/internal/skirental"
 )
 
@@ -66,19 +67,26 @@ type areaRec struct {
 	metrics *areaMetrics
 }
 
-// areaMetrics are an area's attribution series, decide_area_total and
-// decide_area_ms{area=...}. They are resolved on the area's first
-// decide, so the decide path never formats labels and boot formats
-// none for 100k areas; records of one area share them.
+// areaMetrics are an area's labelled series: the attribution pair
+// decide_area_total and decide_area_ms{area=...}, and the forecast
+// error predict_err_abs_sec{area=...}. Each is resolved on its first
+// use, so the decide and observe paths never format labels and boot
+// formats none for 100k areas; records of one area share them.
 type areaMetrics struct {
-	cnt obs.Lazy[obs.Counter]
-	lat obs.Lazy[obs.Histogram]
+	cnt     obs.Lazy[obs.Counter]
+	lat     obs.Lazy[obs.Histogram]
+	predErr obs.Lazy[obs.Histogram]
 }
 
 // record counts one decide of area id that took ms milliseconds.
 func (m *areaMetrics) record(reg *obs.Registry, id string, ms float64) {
 	m.cnt.Get(func() *obs.Counter { return reg.Counter(obs.L("decide_area_total", "area", id)) }).Inc()
 	m.lat.Get(func() *obs.Histogram { return reg.Histogram(obs.L("decide_area_ms", "area", id)) }).Observe(ms)
+}
+
+// predictErr returns area id's forecast-error histogram.
+func (m *areaMetrics) predictErr(reg *obs.Registry, id string) *obs.Histogram {
+	return m.predErr.Get(func() *obs.Histogram { return reg.Histogram(predict.AreaErrAbs(id)) })
 }
 
 // newAreaRec validates and normalizes one area state.

@@ -217,17 +217,16 @@ func (s *Server) decide(ctx context.Context, req DecideRequest, defaultSeed uint
 	s.decideTotal.Get(dec.Choice).Inc()
 	s.rec.Observe("decide_threshold_sec", dec.ThresholdSec)
 	rec.metrics.record(s.rec.Registry(), rec.state.ID, float64(time.Since(t0))/float64(time.Millisecond))
-	if s.tracer != nil {
-		if sp := obs.SpanFrom(ctx); sp != nil {
-			sp.Set("area", rec.state.ID)
-			sp.Set("stats_version", rec.version)
-			sp.Set("b", b)
-			sp.Set("choice", dec.Choice)
-			sp.Set("threshold_sec", dec.ThresholdSec)
-			sp.Set("stream", stream)
-			if eng.Name() != policy.DefaultEngine {
-				sp.Set("policy", policy.Spec(eng))
-			}
+	sp := s.requestSpan(ctx)
+	if sp != nil {
+		sp.SetString("area", rec.state.ID)
+		sp.SetUint("stats_version", rec.version)
+		sp.SetFloat("b", b)
+		sp.SetString("choice", dec.Choice)
+		sp.SetFloat("threshold_sec", dec.ThresholdSec)
+		sp.SetUint("stream", stream)
+		if eng.Name() != policy.DefaultEngine {
+			sp.SetString("policy", policy.Spec(eng))
 		}
 	}
 	// Ledger opt-in: mint a decision id and enter the decision into the
@@ -259,10 +258,8 @@ func (s *Server) decide(ctx context.Context, req DecideRequest, defaultSeed uint
 			s.rec.Add("ledger_issued_total", 1)
 		}
 	}
-	if s.tracer != nil && decisionID != "" {
-		if sp := obs.SpanFrom(ctx); sp != nil {
-			sp.Set("decision_id", decisionID)
-		}
+	if sp != nil && decisionID != "" {
+		sp.SetString("decision_id", decisionID)
 	}
 	if s.auditW != nil {
 		s.auditW.Write(AuditRecord{
@@ -305,6 +302,15 @@ func (s *Server) decide(ctx context.Context, req DecideRequest, defaultSeed uint
 	}
 	resp.DecisionID = decisionID
 	return resp, nil
+}
+
+// requestSpan returns the span ctx carries; nil when tracing is off,
+// without the context walk.
+func (s *Server) requestSpan(ctx context.Context) *obs.Span {
+	if s.tracer == nil {
+		return nil
+	}
+	return obs.SpanFrom(ctx)
 }
 
 // handleDecide serves POST /v1/decide.
@@ -361,7 +367,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			// id) so the fan-out stays attributable per decision.
 			if parent != nil {
 				child := parent.Child("decide_item")
-				child.Set("index", i)
+				child.SetInt("index", int64(i))
 				defer child.End()
 				ictx = obs.ContextWithSpan(ictx, child)
 			}

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"runtime/debug"
 	"strconv"
+	"sync"
 	"time"
 
 	"idlereduce/internal/obs"
@@ -95,7 +96,7 @@ func (s *Server) instrument(route string, limited bool, h http.HandlerFunc) http
 		ctx = obs.WithRequestID(ctx, reqID)
 		var span *obs.Span
 		ctx, span = s.tracer.Start(ctx, "http_request", reqID)
-		span.Set("route", route)
+		span.SetString("route", route)
 		sw := &statusWriter{ResponseWriter: w}
 		t0 := time.Now()
 		defer func() {
@@ -115,19 +116,42 @@ func (s *Server) instrument(route string, limited bool, h http.HandlerFunc) http
 			latency.Get(func() *obs.Histogram {
 				return reg.Histogram(obs.L("http_request_ms", "route", route))
 			}).Observe(float64(time.Since(t0)) / float64(time.Millisecond))
-			span.Set("code", code)
+			span.SetInt("code", int64(code))
 			span.End()
 		}()
 		h(sw, r.WithContext(ctx))
 	})
 }
 
-// writeJSON writes v with the given status as a JSON body.
+// bodyPool recycles reply buffers; maxPooledBody keeps one large reply
+// from pinning its buffer in the pool.
+var bodyPool = sync.Pool{New: func() any { b := make([]byte, 0, 1024); return &b }}
+
+const maxPooledBody = 64 << 10
+
+// writeJSON writes v with the given status as a JSON body: json.Marshal's
+// bytes and a newline, as json.Encoder writes them. A reply that encodes
+// itself (obs.JSONAppender) is appended into a pooled buffer and sent in
+// one Write; other values go through encoding/json. A value that cannot
+// be encoded leaves the body empty.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v)
+	a, ok := v.(obs.JSONAppender)
+	if !ok {
+		_ = json.NewEncoder(w).Encode(v)
+		return
+	}
+	bp := bodyPool.Get().(*[]byte)
+	b, err := a.AppendJSON((*bp)[:0])
+	if err == nil {
+		b = append(b, '\n')
+		_, _ = w.Write(b)
+	}
+	if cap(b) <= maxPooledBody {
+		*bp = b[:0]
+		bodyPool.Put(bp)
+	}
 }
 
 // writeError writes the structured error envelope.

@@ -104,8 +104,11 @@ func (s *observerSet) get(id string) (*observer, bool) {
 
 // observe applies one validated observation to an area's stream and
 // performs the re-tune when a warm CUSUM alarm fires. It returns the
-// wire response plus the tracker update for audit stamping.
-func (s *Server) observe(ctx context.Context, req ObserveRequest) (*ObserveResponse, *APIError) {
+// wire response; ctx carries the request id its audit records quote.
+// sp is the span the observation annotates: the request span of a
+// single observe, nil for a batch item (the batch's request span
+// carries roll-ups instead, so no item overwrites another's attributes).
+func (s *Server) observe(ctx context.Context, req ObserveRequest, sp *obs.Span) (*ObserveResponse, *APIError) {
 	if req.Area == "" {
 		return nil, &APIError{Code: "bad_request", Message: "area is required", Status: http.StatusBadRequest}
 	}
@@ -192,7 +195,8 @@ func (s *Server) observe(ctx context.Context, req ObserveRequest) (*ObserveRespo
 	// A forecast riding along closes the prediction loop: the completed
 	// stop grades it into the quality histograms and side counters.
 	if req.PredictedStopSec != nil {
-		predict.RecordQuality(s.rec, rec.state.ID, rec.state.B, *req.PredictedStopSec, req.StopSec)
+		predict.RecordQuality(s.rec, rec.metrics.predictErr(s.rec.Registry(), rec.state.ID),
+			rec.state.B, *req.PredictedStopSec, req.StopSec)
 	}
 	if up.Alarm {
 		resp.Alarm = true
@@ -212,18 +216,16 @@ func (s *Server) observe(ctx context.Context, req ObserveRequest) (*ObserveRespo
 		}
 	}
 
-	if s.tracer != nil {
-		if sp := obs.SpanFrom(ctx); sp != nil {
-			sp.Set("area", rec.state.ID)
-			sp.Set("seq", up.Seen)
-			sp.Set("stop_sec", req.StopSec)
-			sp.Set("alarm", resp.Alarm)
-			sp.Set("retuned", resp.Retuned)
-			sp.Set("stats_version", resp.StatsVersion)
-			if settled != nil {
-				sp.Set("decision_id", settled.Pending.ID)
-				sp.Set("join_ms", settled.JoinMS)
-			}
+	if sp != nil {
+		sp.SetString("area", rec.state.ID)
+		sp.SetInt("seq", up.Seen)
+		sp.SetFloat("stop_sec", req.StopSec)
+		sp.SetBool("alarm", resp.Alarm)
+		sp.SetBool("retuned", resp.Retuned)
+		sp.SetUint("stats_version", resp.StatsVersion)
+		if settled != nil {
+			sp.SetString("decision_id", settled.Pending.ID)
+			sp.SetInt("join_ms", settled.JoinMS)
 		}
 	}
 	if s.auditW != nil && settled != nil {
@@ -302,7 +304,7 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad_request", "decode request: "+err.Error())
 		return
 	}
-	resp, apiErr := s.observe(r.Context(), req)
+	resp, apiErr := s.observe(r.Context(), req, s.requestSpan(r.Context()))
 	if apiErr != nil {
 		writeError(w, apiErr.Status, apiErr.Code, apiErr.Message)
 		return
@@ -333,7 +335,7 @@ func (s *Server) handleObserveBatch(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
 	resp := BatchObserveResponse{Results: make([]BatchObserveItem, len(req.Observations))}
 	for i, o := range req.Observations {
-		res, apiErr := s.observe(ctx, o)
+		res, apiErr := s.observe(ctx, o, nil)
 		if apiErr != nil {
 			resp.Results[i] = BatchObserveItem{Error: apiErr}
 			continue
@@ -351,5 +353,12 @@ func (s *Server) handleObserveBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.rec.Add("observe_batch_total", 1)
+	if sp := s.requestSpan(ctx); sp != nil {
+		sp.SetInt("items", int64(len(req.Observations)))
+		sp.SetInt("accepted", int64(resp.Accepted))
+		sp.SetInt("alarms", int64(resp.Alarms))
+		sp.SetInt("retunes", int64(resp.Retunes))
+		sp.SetInt("settled", int64(resp.Settled))
+	}
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"idlereduce/internal/obs"
 	"idlereduce/internal/skirental"
 )
 
@@ -254,6 +255,73 @@ func TestObserveBatchSequentialAndRolledUp(t *testing.T) {
 	status2, raw2 := doJSON(t, "POST", ts2.URL+"/v1/observe/batch", body, nil)
 	if status2 != status || string(raw2) != string(raw) {
 		t.Fatalf("batch reply not reproducible:\n%s\n%s", raw, raw2)
+	}
+}
+
+// TestObserveBatchSpanRollsUp: a traced observe batch across several
+// areas carries roll-ups on its request span, not the attributes of
+// whichever item ran last, and emits no per-item spans; a single
+// observe keeps its per-item attributes.
+func TestObserveBatchSpanRollsUp(t *testing.T) {
+	trace := &syncBuffer{}
+	s, ts := newTestServer(t, func(c *Config) { c.TraceLog = trace })
+	var dec DecideResponse
+	if status, raw := doJSON(t, "POST", ts.URL+"/v1/decide", `{"vehicle_id":"v-1","area":"atlanta","ledger":true}`, &dec); status != http.StatusOK {
+		t.Fatalf("decide: status %d: %s", status, raw)
+	}
+	body := fmt.Sprintf(`{"observations":[{"area":"chicago","stop_sec":5},{"area":"atlanta","stop_sec":40,"decision_id":%q},`+
+		`{"area":"nowhere","stop_sec":5},{"area":"chicago","stop_sec":6}]}`, dec.DecisionID)
+	var batch BatchObserveResponse
+	if status, raw := doJSON(t, "POST", ts.URL+"/v1/observe/batch", body, &batch); status != http.StatusOK {
+		t.Fatalf("batch: status %d: %s", status, raw)
+	}
+	if batch.Accepted != 3 || batch.Settled != 1 {
+		t.Fatalf("batch reply %+v, want 3 accepted, 1 settled", batch)
+	}
+	if status, raw := doJSON(t, "POST", ts.URL+"/v1/observe", `{"area":"atlanta","stop_sec":7}`, nil); status != http.StatusOK {
+		t.Fatalf("observe: status %d: %s", status, raw)
+	}
+	if err := s.tracer.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	byRoute := map[string][]obs.SpanRecord{}
+	perRequest := map[string]int{}
+	for _, line := range strings.Split(strings.TrimSpace(trace.String()), "\n") {
+		var rec obs.SpanRecord
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("bad span line %q: %v", line, err)
+		}
+		perRequest[rec.RequestID]++
+		if route, _ := rec.Attrs["route"].(string); rec.Span == "http_request" {
+			byRoute[route] = append(byRoute[route], rec)
+		}
+	}
+	if len(byRoute["observe_batch"]) != 1 {
+		t.Fatalf("observe_batch spans: %+v", byRoute["observe_batch"])
+	}
+	b := byRoute["observe_batch"][0]
+	if perRequest[b.RequestID] != 1 {
+		t.Errorf("batch request wrote %d span records, want 1 (no per-item spans)", perRequest[b.RequestID])
+	}
+	want := map[string]float64{"items": 4, "accepted": 3, "alarms": float64(batch.Alarms),
+		"retunes": float64(batch.Retunes), "settled": 1, "code": 200}
+	for k, v := range want {
+		if b.Attrs[k] != v {
+			t.Errorf("batch span %s = %v, want %v", k, b.Attrs[k], v)
+		}
+	}
+	for _, k := range []string{"area", "seq", "stop_sec", "decision_id", "join_ms", "alarm", "retuned", "stats_version"} {
+		if v, ok := b.Attrs[k]; ok {
+			t.Errorf("batch span carries per-item attribute %s = %v", k, v)
+		}
+	}
+	if len(byRoute["observe"]) != 1 {
+		t.Fatalf("observe spans: %+v", byRoute["observe"])
+	}
+	single := byRoute["observe"][0].Attrs
+	if single["area"] != "atlanta" || single["seq"] != float64(2) || single["stop_sec"] != float64(7) {
+		t.Errorf("single observe span attrs %v, want area atlanta, seq 2, stop_sec 7", single)
 	}
 }
 

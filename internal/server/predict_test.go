@@ -326,3 +326,42 @@ func TestPoliciesEndpointShowsParams(t *testing.T) {
 		t.Errorf("constrained published params %+v, want none", c.Params)
 	}
 }
+
+// TestObserveForecastQualitySeries: an observe carrying the forecast
+// made for its stop grades it into the global and per-area error
+// histograms and the side counters; the per-area series is the area's
+// own handle, shared by its observes and named as before.
+func TestObserveForecastQualitySeries(t *testing.T) {
+	s, ts := newTestServer(t, nil)
+	for _, body := range []string{
+		`{"area":"chicago","stop_sec":30,"predicted_stop_s":40}`, // consistent: both past B = 28
+		`{"area":"chicago","stop_sec":50,"predicted_stop_s":10}`, // regret: forecast short, stop long
+		`{"area":"atlanta","stop_sec":7,"predicted_stop_s":5}`,   // consistent: both short
+		`{"area":"atlanta","stop_sec":9}`,                        // no forecast, not graded
+	} {
+		if status, raw := doJSON(t, "POST", ts.URL+"/v1/observe", body, nil); status != http.StatusOK {
+			t.Fatalf("observe %s: status %d: %s", body, status, raw)
+		}
+	}
+	snap := s.Recorder().Snapshot()
+	for _, c := range []struct {
+		name  string
+		count uint64
+		sum   float64
+	}{
+		{`predict_err_abs_sec`, 3, 52},
+		{`predict_err_abs_sec{area="chicago"}`, 2, 50},
+		{`predict_err_abs_sec{area="atlanta"}`, 1, 2},
+	} {
+		h, ok := snap.HistogramValue(c.name)
+		if !ok || h.Count != c.count || h.Sum != c.sum {
+			t.Errorf("%s = %+v (present %v), want count %d sum %v", c.name, h, ok, c.count, c.sum)
+		}
+	}
+	if got := snap.SumCounters("predict_consistency_total"); got != 2 {
+		t.Errorf("predict_consistency_total = %d, want 2", got)
+	}
+	if got := snap.SumCounters("predict_regret_total"); got != 1 {
+		t.Errorf("predict_regret_total = %d, want 1", got)
+	}
+}
