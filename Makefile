@@ -9,7 +9,7 @@ FUZZTIME ?= 10s
 # into the toolchain; bump deliberately alongside Go upgrades.
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: check ci build vet test race race-stress fmt-check perfbench staticcheck cover \
+.PHONY: check ci build vet test race race-stress fmt-check perfbench perfbench-smoke staticcheck cover \
 	fuzz-smoke bench-smoke bench bench-metrics bench-parallel \
 	bench-capture bench-compare bench-gate loadtest-gate loadtest-bless \
 	loc clean
@@ -19,7 +19,7 @@ STATICCHECK_VERSION ?= 2025.1.1
 check: ci
 
 ## ci: mirror of the GitHub workflow jobs, step for step.
-ci: vet fmt-check build test race race-stress perfbench fuzz-smoke staticcheck bench-gate loadtest-gate
+ci: vet fmt-check build test race race-stress perfbench perfbench-smoke fuzz-smoke staticcheck bench-gate loadtest-gate
 
 build:
 	$(GO) build ./...
@@ -35,18 +35,31 @@ test:
 race:
 	$(GO) test -race -shuffle=on ./...
 
-## race-stress: the registry, sampler and JSONL sink tests under the
-## race detector ten times over. Several goroutines reach that state at
-## once (counter creation beside family sums, writers racing Close),
-## and a single -race pass rarely hits the risky interleavings.
+## race-stress: the registry, sampler and JSONL sink tests, and the
+## request decoder's pooled buffers, under the race detector ten times
+## over. Several goroutines reach that state at once (counter creation
+## beside family sums, writers racing Close, buffers passing between
+## requests), and a single -race pass rarely hits the risky
+## interleavings.
 race-stress:
 	$(GO) test -race -count=10 -run 'Registry|SumCounter|Sampler|JSONL|Rotating' ./internal/obs
+	$(GO) test -race -count=10 -run 'DecodeConcurrent' ./internal/server
 
 ## perfbench: vet and test the benchmark module. It is a nested Go
 ## module, so `go build ./...` above never compiles it; this step fails
 ## when a refactor breaks a name the benchmark imports.
 perfbench:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+## perfbench-smoke: run the benchmark's two serving workloads end to end
+## for 2 s each (about 25 s together on 2 vCPUs, plus the build), so its
+## own checks run on every change: the probe digest, the reply byte
+## check, the exact counters, zero sink drops and the audit replay. A
+## failed check exits non-zero; each run's full standard output and
+## error stay in the log.
+perfbench-smoke:
+	bash perfbench/run.sh --workload hot_decide --seed 1 --seconds 2 --trace 0
+	bash perfbench/run.sh --workload fleet_100k --seed 1 --seconds 2 --trace 0
 
 ## fmt-check: fail when any file needs gofmt (CI's formatting gate).
 fmt-check:

@@ -142,7 +142,7 @@ func serve(ctx context.Context, args []string, stdout io.Writer) error {
 	driftThreshold := fs.Float64("drift-threshold", 0, "CUSUM alarm threshold in baseline standard deviations (0 = default)")
 	retuneOff := fs.Bool("retune-off", false, "accept observations but never re-derive strategies (shadow mode)")
 	maxBatch := fs.Int("max-batch", 4096, "max decisions per batch request")
-	reqTimeout := fs.Duration("request-timeout", 10*time.Second, "per-request context deadline")
+	reqTimeout := fs.Duration("request-timeout", 10*time.Second, "batch decide fan-out deadline")
 	drainTimeout := fs.Duration("drain-timeout", 10*time.Second, "graceful shutdown drain bound")
 	traceLog := fs.String("trace-log", "", "write request span records (JSONL) here; empty disables tracing")
 	auditLog := fs.String("audit-log", "", "write replayable decision audit records (JSONL) here; empty disables the audit log")

@@ -237,7 +237,7 @@ type StreamUpdate struct {
 // Observe absorbs one completed stop of length y (seconds). Invalid
 // lengths are rejected without mutating any state.
 func (t *Tracker) Observe(y float64) (StreamUpdate, error) {
-	if y < 0 || math.IsNaN(y) || math.IsInf(y, 0) {
+	if !t.Admits(y) {
 		return StreamUpdate{}, fmt.Errorf("%w: stop length %v", ErrConfig, y)
 	}
 	up := StreamUpdate{
@@ -254,6 +254,19 @@ func (t *Tracker) Observe(y float64) (StreamUpdate, error) {
 	up.Warm = t.Warm()
 	up.Alarm = t.det.Observe(math.Min(y, t.cfg.B))
 	return up, nil
+}
+
+// Admits reports whether Observe accepts y: a finite non-negative stop
+// length that keeps every moment sum finite (at a break-even interval
+// near float64's limit, a stop of that length overflows the sums). A
+// caller that commits elsewhere before the stream absorbs y checks it
+// first.
+func (t *Tracker) Admits(y float64) bool {
+	if y < 0 || math.IsNaN(y) || math.IsInf(y, 0) {
+		return false
+	}
+	w, mu, q := StepMoments(t.state.WSum, t.state.MuSum, t.state.QSum, t.cfg.Forgetting, t.cfg.B, y)
+	return !math.IsInf(w, 0) && !math.IsInf(mu, 0) && !math.IsInf(q, 0)
 }
 
 // ResetMoments clears the moment estimates (a post-re-tune restart for

@@ -358,7 +358,8 @@ func (sh *shard) rememberSettledLocked(id string, capacity int) {
 // accumulator advanced. An id that was never issued (or was expired or
 // evicted) is ErrUnknownDecision; an id that already settled is
 // ErrDuplicateSettle. Both failure modes leave all state untouched
-// beyond the orphan counter.
+// beyond the orphan counter; a stop whose online cost is not finite
+// leaves the entry pending.
 func (l *Ledger) Settle(id string, stopSec float64, nowMS int64) (Outcome, error) {
 	if id == "" {
 		l.orphaned.Add(1)
@@ -388,12 +389,18 @@ func (l *Ledger) Settle(id string, stopSec float64, nowMS int64) (Outcome, error
 		l.orphaned.Add(1)
 		return Outcome{}, fmt.Errorf("%w: decision %s expired before settling", ErrUnknownDecision, id)
 	}
+	online := skirental.OnlineCost(p.ThresholdSec, stopSec, p.B)
+	opt := skirental.OfflineCost(stopSec, p.B)
+	if math.IsInf(online, 0) {
+		// The threshold plus the restart overflow at a break-even
+		// interval near float64's limit; the entry stays pending.
+		sh.mu.Unlock()
+		return Outcome{}, fmt.Errorf("ledger: stop %v settles decision %s at a cost that is not finite", stopSec, id)
+	}
 	delete(sh.entries, id)
 	sh.rememberSettledLocked(id, l.cfg.Capacity)
 	sh.mu.Unlock()
 
-	online := skirental.OnlineCost(p.ThresholdSec, stopSec, p.B)
-	opt := skirental.OfflineCost(stopSec, p.B)
 	// A clock stepped back, or an entry restored from a host whose
 	// clock ran ahead, can settle "before" its issue; the join latency
 	// floors at zero rather than going negative.

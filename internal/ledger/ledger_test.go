@@ -120,6 +120,29 @@ func TestSettleErrorClasses(t *testing.T) {
 	}
 }
 
+// TestSettleNonFiniteCostStaysPending: at a break-even interval near
+// float64's limit, a stop past the threshold costs threshold + B, which
+// overflows. The settle is refused and the entry stays pending for a
+// stop it can be charged for.
+func TestSettleNonFiniteCostStaysPending(t *testing.T) {
+	l := New(Config{})
+	p := pend("d-1", 0)
+	p.B, p.ThresholdSec = 1e308, 1e308
+	if _, err := l.Issue(p); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Settle("d-1", math.MaxFloat64, 100); err == nil || errors.Is(err, ErrUnknownDecision) {
+		t.Fatalf("settle at an overflowing cost: %v, want a plain refusal", err)
+	}
+	if n := l.PendingCount(); n != 1 {
+		t.Fatalf("pending %d after the refusal, want 1", n)
+	}
+	out, err := l.Settle("d-1", 5, 200)
+	if err != nil || out.Online != 5 || out.Opt != 5 {
+		t.Fatalf("later settle: %+v, %v", out, err)
+	}
+}
+
 func TestSettleAfterExpiry(t *testing.T) {
 	l := New(Config{TTLMS: 1000})
 	if _, err := l.Issue(pend("d-1", 0)); err != nil {

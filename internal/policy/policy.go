@@ -222,16 +222,44 @@ func ResolveParams(e Parametric, params map[string]float64) (map[string]float64,
 // Prepare prepares eng against s with resolved parameters (nil means
 // the engine's defaults): the one dispatch between Engine.Prepare and
 // Parametric.PrepareParams. Params on an engine that declares none
-// wrap ErrBadParams.
+// wrap ErrBadParams. A strategy that would publish a number that is not
+// finite (statistics at the edge of float64's range overflow the
+// threshold or the cost) wraps ErrInfeasible: no such number can be
+// served or encoded.
 func Prepare(eng Engine, s Stats, params map[string]float64) (Strategy, error) {
+	var st Strategy
+	var err error
 	if len(params) == 0 {
-		return eng.Prepare(s)
-	}
-	pe, ok := eng.(Parametric)
-	if !ok {
+		st, err = eng.Prepare(s)
+	} else if pe, ok := eng.(Parametric); ok {
+		st, err = pe.PrepareParams(s, params)
+	} else {
 		return nil, fmt.Errorf("%w: engine %s accepts no params", ErrBadParams, eng.Name())
 	}
-	return pe.PrepareParams(s, params)
+	if err != nil {
+		return nil, err
+	}
+	if err := checkFinite(st); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrInfeasible, err)
+	}
+	return st, nil
+}
+
+// checkFinite reports the first number st publishes that is not finite:
+// its Describe summary and, when it is Bounded, its CR bound.
+func checkFinite(st Strategy) error {
+	d := st.Describe()
+	bound := 1.0
+	if b, ok := st.(Bounded); ok {
+		bound = b.WorstCaseCRBound()
+	}
+	names := [...]string{"threshold", "worst-case cost", "worst-case CR", "CR bound"}
+	for i, v := range [...]float64{d.ThresholdSec, d.WorstCaseCost, d.WorstCaseCR, bound} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("%s %v is not finite", names[i], v)
+		}
+	}
+	return nil
 }
 
 var (

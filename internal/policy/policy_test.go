@@ -3,6 +3,7 @@ package policy
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"strings"
 	"testing"
@@ -194,6 +195,28 @@ func TestConstrainedInfeasible(t *testing.T) {
 	} {
 		if _, err := e.Prepare(s); !errors.Is(err, ErrInfeasible) {
 			t.Errorf("Prepare(%+v) = %v, want ErrInfeasible", s, err)
+		}
+	}
+}
+
+// TestPrepareRefusesNonFiniteNumbers: every shipped engine refuses, as
+// infeasible, statistics whose strategy would publish a number that is
+// not finite. At B = 1e308, b-DET's threshold sqrt(mu B / q) and DET's
+// worst-case cost overflow.
+func TestPrepareRefusesNonFiniteNumbers(t *testing.T) {
+	for _, name := range []string{"constrained", "multislope3", "softml", "distadvice"} {
+		eng, ok := Get(name)
+		if !ok {
+			t.Fatalf("engine %s is not registered", name)
+		}
+		for _, s := range []Stats{{B: 1e308, Mu: 5, Q: 0.5}, {B: math.MaxFloat64, Mu: 1, Q: 0.9}} {
+			st, err := Prepare(eng, s, nil)
+			if !errors.Is(err, ErrInfeasible) {
+				t.Errorf("%s at %+v: strategy %v, error %v; want ErrInfeasible", name, s, st, err)
+			}
+		}
+		if _, err := Prepare(eng, Stats{B: 28, Mu: 5, Q: 0.5}, nil); err != nil {
+			t.Errorf("%s at B = 28: %v", name, err)
 		}
 	}
 }

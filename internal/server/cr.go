@@ -25,7 +25,7 @@ type CRResponse struct {
 // in-flight limiter, so the guarantee watchdog keeps rendering while
 // decision load is shed.
 func (s *Server) handleCR(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, CRResponse{
+	s.writeJSON(w, http.StatusOK, CRResponse{
 		Rows:     s.ledger.Rows(),
 		Pending:  s.ledger.PendingCount(),
 		Counters: s.ledger.Counters(),

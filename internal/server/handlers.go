@@ -189,10 +189,10 @@ func (s *Server) decide(ctx context.Context, req DecideRequest, defaultSeed uint
 			var entry *strategy
 			if entry, err = s.cache.StrategyParams(v, eng, params); err == nil {
 				prep = entry.prep
-				s.rec.Add("decide_cache_hits_total", 1)
+				s.series.cacheHits.get().Inc()
 			}
 		} else {
-			s.rec.Add("decide_cache_misses_total", 1)
+			s.series.cacheMisses.get().Inc()
 			prep, err = policy.Prepare(eng, rec.state.PolicyStats(b), params)
 		}
 		if err != nil {
@@ -205,7 +205,7 @@ func (s *Server) decide(ctx context.Context, req DecideRequest, defaultSeed uint
 		return nil, apiErr
 	}
 	if req.Prediction != nil {
-		s.rec.Add("decide_prediction_total", 1)
+		s.series.predictions.get().Inc()
 	}
 
 	if s.cfg.testDelay > 0 {
@@ -215,7 +215,7 @@ func (s *Server) decide(ctx context.Context, req DecideRequest, defaultSeed uint
 		s.cfg.testHook()
 	}
 	s.decideTotal.Get(dec.Choice).Inc()
-	s.rec.Observe("decide_threshold_sec", dec.ThresholdSec)
+	s.series.threshold.get().Observe(dec.ThresholdSec)
 	rec.metrics.record(s.rec.Registry(), rec.state.ID, float64(time.Since(t0))/float64(time.Millisecond))
 	sp := s.requestSpan(ctx)
 	if sp != nil {
@@ -255,7 +255,7 @@ func (s *Server) decide(ctx context.Context, req DecideRequest, defaultSeed uint
 			s.rec.Add("ledger_issue_failed_total", 1)
 			decisionID = ""
 		} else {
-			s.rec.Add("ledger_issued_total", 1)
+			s.series.ledgerIssued.get().Inc()
 		}
 	}
 	if sp != nil && decisionID != "" {
@@ -316,7 +316,7 @@ func (s *Server) requestSpan(ctx context.Context) *obs.Span {
 // handleDecide serves POST /v1/decide.
 func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 	var req DecideRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := decodeRequest(s, "decide", r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad_request", "decode request: "+err.Error())
 		return
 	}
@@ -328,7 +328,7 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 		writeError(w, apiErr.Status, apiErr.Code, apiErr.Message)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	s.writeJSON(w, http.StatusOK, resp)
 }
 
 // handleBatch serves POST /v1/decide/batch: the items fan out over the
@@ -337,7 +337,7 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 // it passes structural validation.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchDecideRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := decodeRequest(s, "batch", r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad_request", "decode request: "+err.Error())
 		return
 	}
@@ -359,7 +359,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			req.Requests[i].Ledger = true
 		}
 	}
-	ctx := obs.WithRecorder(r.Context(), s.rec)
+	// The fan-out is the one wait on a context in the serving paths, so
+	// it alone carries the RequestTimeout deadline.
+	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
+	defer cancel()
+	ctx = obs.WithRecorder(ctx, s.rec)
 	parent := obs.SpanFrom(ctx)
 	results, err := parallel.Map(ctx, "server_batch", len(req.Requests), s.cfg.Workers,
 		func(ictx context.Context, i int) (BatchItem, error) {
@@ -383,15 +387,35 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "internal", "batch aborted: "+err.Error())
 		return
 	}
-	s.rec.Add("batch_decisions_total", int64(len(results)))
-	writeJSON(w, http.StatusOK, BatchDecideResponse{Seed: seed, Results: results})
+	s.series.batchDecisions.get().Add(int64(len(results)))
+	writeBatch(s, w, BatchDecideResponse{Seed: seed, Results: results}, results,
+		func(e *APIError) BatchItem { return BatchItem{Error: e} })
+}
+
+// writeBatch writes reply, a batch reply holding items, with status 200.
+// When reply cannot be encoded, each item that cannot (a number JSON
+// cannot carry) becomes the internal item error mk builds, counted in
+// http_encode_failed_total, and the other items are still delivered.
+func writeBatch[T obs.JSONAppender](s *Server, w http.ResponseWriter, reply obs.JSONAppender, items []T, mk func(*APIError) T) {
+	if sendJSON(w, http.StatusOK, reply) == nil {
+		return
+	}
+	n := 0
+	for i := range items {
+		if _, err := items[i].AppendJSON(nil); err != nil {
+			items[i] = mk(&APIError{Code: "internal", Message: "encode item: " + err.Error(), Status: http.StatusInternalServerError})
+			n++
+		}
+	}
+	s.series.encodeFailed.get().Add(int64(n))
+	s.writeJSON(w, http.StatusOK, reply)
 }
 
 // handleStatsUpdate serves PUT /v1/areas/{id}/stats.
 func (s *Server) handleStatsUpdate(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	var req StatsUpdateRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := decodeStrict(http.MaxBytesReader(nil, r.Body, maxRequestBody), &req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad_request", "decode request: "+err.Error())
 		return
 	}
@@ -405,7 +429,7 @@ func (s *Server) handleStatsUpdate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.rec.Add("stats_updates_total", 1)
-	writeJSON(w, http.StatusOK, entry.Info())
+	s.writeJSON(w, http.StatusOK, entry.Info())
 }
 
 // handleAreas serves GET /v1/areas. An optional ?policy= query renders
@@ -440,7 +464,7 @@ func (s *Server) handleAreas(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Areas = append(resp.Areas, st.Info())
 	}
-	writeJSON(w, http.StatusOK, resp)
+	s.writeJSON(w, http.StatusOK, resp)
 }
 
 // handlePolicies serves GET /v1/policies: the registered policy
@@ -466,14 +490,14 @@ func (s *Server) handlePolicies(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Policies = append(resp.Policies, info)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	s.writeJSON(w, http.StatusOK, resp)
 }
 
 // handleHealthz serves GET /healthz. It bypasses the in-flight limiter
 // so liveness probes keep passing while decision load is shed.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	bi := readBuildInfo()
-	writeJSON(w, http.StatusOK, HealthResponse{
+	s.writeJSON(w, http.StatusOK, HealthResponse{
 		Status:      "ok",
 		UptimeMS:    time.Since(s.start).Milliseconds(),
 		Areas:       s.cache.Len(),
@@ -487,7 +511,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // provenance so dashboards and load reports can label runs.
 func (s *Server) handleBuildInfo(w http.ResponseWriter, r *http.Request) {
 	bi := readBuildInfo()
-	writeJSON(w, http.StatusOK, BuildInfoResponse{
+	s.writeJSON(w, http.StatusOK, BuildInfoResponse{
 		Version:     bi.Version,
 		GoVersion:   bi.GoVersion,
 		Revision:    bi.Revision,
@@ -502,7 +526,7 @@ func (s *Server) handleBuildInfo(w http.ResponseWriter, r *http.Request) {
 // retained metrics window (windowed rates plus rolling quantiles). It
 // bypasses the limiter so dashboards keep rendering under overload.
 func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.sampler.History())
+	s.writeJSON(w, http.StatusOK, s.sampler.History())
 }
 
 // handleMetrics serves GET /metrics: the obs registry snapshot in
@@ -523,9 +547,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.rec.Set("ledger_expired_total", float64(s.ledger.Counters().Expired))
 	snap := s.rec.Snapshot()
 	if r.URL.Query().Get("format") == "json" {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusOK)
-		_ = snap.WriteJSON(w)
+		// WriteJSON encodes the whole snapshot before its one Write, so
+		// a value JSON cannot carry leaves the header unsent.
+		hw := &headerOnWrite{w: w, status: http.StatusOK}
+		if err := snap.WriteJSON(hw); err != nil && !hw.sent {
+			s.series.encodeFailed.get().Inc()
+			writeError(w, http.StatusInternalServerError, "internal", "encode reply: "+err.Error())
+		}
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")

@@ -234,7 +234,10 @@ func TestDashboardCountsAtScale(t *testing.T) {
 // TestFreshMetricsListsNoLazySeries: the series the serving paths
 // resolve on first use must not exist before that use.
 func TestFreshMetricsListsNoLazySeries(t *testing.T) {
-	lazy := []string{"decide_total", "decide_area_", "http_requests_total", "cr_"}
+	lazy := []string{"decide_total", "decide_area_", "http_requests_total", "cr_",
+		"decide_cache_", "decide_prediction_total", "decide_threshold_sec", "ledger_issued_total",
+		"batch_decisions_total", "observe_", "ledger_settled_total", "ledger_join_ms", "retune_",
+		"http_decode_fallback_total", "http_encode_failed_total"}
 	check := func(format, name string) {
 		for _, prefix := range lazy {
 			if strings.HasPrefix(name, prefix) {

@@ -1,9 +1,7 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
 	"net/http"
 	"runtime/debug"
 	"strconv"
@@ -12,9 +10,6 @@ import (
 
 	"idlereduce/internal/obs"
 )
-
-// errTrailingBody rejects request bodies with data after the JSON value.
-var errTrailingBody = errors.New("request body contains trailing data")
 
 // statusWriter captures the status code written by a handler so the
 // middleware can label its metrics.
@@ -52,10 +47,10 @@ const ledgerHeader = "X-Ledger"
 //     429 immediately instead of queueing without bound;
 //   - in-flight gauge http_inflight_requests;
 //   - request-id assignment/propagation (X-Request-Id, echoed on the
-//     reply and carried through the context for audit records);
+//     reply; carried through the context, with the span, only when a
+//     trace or audit sink is configured, since those are its readers);
 //   - a trace span per request when Config.TraceLog is set, recording
 //     route, status and latency plus whatever the handler annotates;
-//   - per-request context deadline (RequestTimeout);
 //   - request counter http_requests_total{route,code} and latency
 //     histogram http_request_ms{route};
 //   - panic capture: a panicking handler becomes a 500 with a
@@ -89,14 +84,15 @@ func (s *Server) instrument(route string, limited bool, h http.HandlerFunc) http
 				return
 			}
 		}
-		s.rec.Set("http_inflight_requests", float64(len(s.inflight)))
+		s.series.inflight.get().Set(float64(len(s.inflight)))
 
-		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-		defer cancel()
-		ctx = obs.WithRequestID(ctx, reqID)
 		var span *obs.Span
-		ctx, span = s.tracer.Start(ctx, "http_request", reqID)
-		span.SetString("route", route)
+		if s.tracer != nil || s.auditW != nil {
+			ctx := obs.WithRequestID(r.Context(), reqID)
+			ctx, span = s.tracer.Start(ctx, "http_request", reqID)
+			span.SetString("route", route)
+			r = r.WithContext(ctx)
+		}
 		sw := &statusWriter{ResponseWriter: w}
 		t0 := time.Now()
 		defer func() {
@@ -119,56 +115,82 @@ func (s *Server) instrument(route string, limited bool, h http.HandlerFunc) http
 			span.SetInt("code", int64(code))
 			span.End()
 		}()
-		h(sw, r.WithContext(ctx))
+		h(sw, r)
 	})
 }
 
-// bodyPool recycles reply buffers; maxPooledBody keeps one large reply
-// from pinning its buffer in the pool.
+// bodyPool recycles request and reply buffers; maxPooledBody keeps one
+// large body from pinning its buffer in the pool.
 var bodyPool = sync.Pool{New: func() any { b := make([]byte, 0, 1024); return &b }}
 
 const maxPooledBody = 64 << 10
 
-// writeJSON writes v with the given status as a JSON body: json.Marshal's
-// bytes and a newline, as json.Encoder writes them. A reply that encodes
-// itself (obs.JSONAppender) is appended into a pooled buffer and sent in
-// one Write; other values go through encoding/json. A value that cannot
-// be encoded leaves the body empty.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	a, ok := v.(obs.JSONAppender)
-	if !ok {
-		_ = json.NewEncoder(w).Encode(v)
-		return
-	}
-	bp := bodyPool.Get().(*[]byte)
-	b, err := a.AppendJSON((*bp)[:0])
-	if err == nil {
-		b = append(b, '\n')
-		_, _ = w.Write(b)
-	}
+// putBody returns b, the buffer taken as bp, to bodyPool.
+func putBody(bp *[]byte, b []byte) {
 	if cap(b) <= maxPooledBody {
 		*bp = b[:0]
 		bodyPool.Put(bp)
 	}
 }
 
-// writeError writes the structured error envelope.
-func writeError(w http.ResponseWriter, status int, code, msg string) {
-	writeJSON(w, status, ErrorResponse{Error: APIError{Code: code, Message: msg, Status: status}})
+// writeJSON writes v with the given status as a JSON body: json.Marshal's
+// bytes and a newline, as json.Encoder writes them. The body is encoded
+// before the header is sent, so a value that cannot be encoded (a
+// non-finite number) answers 500 internal, counted in
+// http_encode_failed_total, never a 2xx without a body.
+func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
+	if err := sendJSON(w, status, v); err != nil {
+		s.series.encodeFailed.get().Inc()
+		writeError(w, http.StatusInternalServerError, "internal", "encode reply: "+err.Error())
+	}
 }
 
-// decodeJSON strictly decodes a request body into v: unknown fields
-// and trailing garbage are errors.
-func decodeJSON(r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+// sendJSON encodes v, then writes the header and the body. A reply that
+// encodes itself (obs.JSONAppender) is appended into a pooled buffer
+// and sent in one Write; other values go through json.Encoder, which
+// also writes only once the whole value has encoded. An encode error is
+// returned with nothing written.
+func sendJSON(w http.ResponseWriter, status int, v any) error {
+	a, ok := v.(obs.JSONAppender)
+	if !ok {
+		hw := &headerOnWrite{w: w, status: status}
+		err := json.NewEncoder(hw).Encode(v)
+		if hw.sent {
+			return nil
+		}
 		return err
 	}
-	if dec.More() {
-		return errTrailingBody
+	bp := bodyPool.Get().(*[]byte)
+	b, err := a.AppendJSON((*bp)[:0])
+	if err == nil {
+		b = append(b, '\n')
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(status)
+		_, _ = w.Write(b)
 	}
-	return nil
+	putBody(bp, b)
+	return err
+}
+
+// headerOnWrite sends the JSON content type and status with the first
+// body write.
+type headerOnWrite struct {
+	w      http.ResponseWriter
+	status int
+	sent   bool
+}
+
+func (h *headerOnWrite) Write(b []byte) (int, error) {
+	if !h.sent {
+		h.sent = true
+		h.w.Header().Set("Content-Type", "application/json")
+		h.w.WriteHeader(h.status)
+	}
+	return h.w.Write(b)
+}
+
+// writeError writes the structured error envelope, which always
+// encodes.
+func writeError(w http.ResponseWriter, status int, code, msg string) {
+	_ = sendJSON(w, status, ErrorResponse{Error: APIError{Code: code, Message: msg, Status: status}})
 }

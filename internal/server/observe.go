@@ -131,6 +131,22 @@ func (s *Server) observe(ctx context.Context, req ObserveRequest, sp *obs.Span) 
 		return nil, &APIError{Code: "internal", Message: fmt.Sprintf("no observer for area %q", rec.state.ID), Status: http.StatusInternalServerError}
 	}
 
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	// A stats update may have moved the area's break-even interval;
+	// the moments are only meaningful at one B, so the stream restarts
+	// against the new interval.
+	if o.tr.B() != rec.state.B {
+		tr, err := adaptive.NewTracker(s.observers.cfg.streamConfig(rec.state.B))
+		if err != nil {
+			return nil, &APIError{Code: "internal", Message: err.Error(), Status: http.StatusInternalServerError}
+		}
+		o.tr = tr
+	}
+	if !o.tr.Admits(req.StopSec) {
+		return nil, &APIError{Code: "bad_request", Message: fmt.Sprintf("stop_sec = %v overflows area %s's running statistics at b = %v", req.StopSec, rec.state.ID, rec.state.B), Status: http.StatusBadRequest}
+	}
+
 	// A decision id settles its ledger entry before the tracker absorbs
 	// anything, so a failed join rejects the whole observation with the
 	// statistics stream untouched (fail-closed).
@@ -149,8 +165,8 @@ func (s *Server) observe(ctx context.Context, req ObserveRequest, sp *obs.Span) 
 			return nil, &APIError{Code: "bad_request", Message: err.Error(), Status: http.StatusBadRequest}
 		}
 		settled = &out
-		s.rec.Add("ledger_settled_total", 1)
-		s.rec.Observe("ledger_join_ms", float64(out.JoinMS))
+		s.series.settled.get().Inc()
+		s.series.joinMS.get().Observe(float64(out.JoinMS))
 		s.crGauge("cr_empirical", out.Pending).Set(out.CR)
 		if out.Pending.Bound > 0 {
 			s.crGauge("cr_bound", out.Pending).Set(out.Pending.Bound)
@@ -160,18 +176,6 @@ func (s *Server) observe(ctx context.Context, req ObserveRequest, sp *obs.Span) 
 		}
 	}
 
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	// A stats update may have moved the area's break-even interval;
-	// the moments are only meaningful at one B, so the stream restarts
-	// against the new interval.
-	if o.tr.B() != rec.state.B {
-		tr, err := adaptive.NewTracker(s.observers.cfg.streamConfig(rec.state.B))
-		if err != nil {
-			return nil, &APIError{Code: "internal", Message: err.Error(), Status: http.StatusInternalServerError}
-		}
-		o.tr = tr
-	}
 	up, err := o.tr.Observe(req.StopSec)
 	if err != nil {
 		return nil, &APIError{Code: "bad_request", Message: err.Error(), Status: http.StatusBadRequest}
@@ -191,7 +195,7 @@ func (s *Server) observe(ctx context.Context, req ObserveRequest, sp *obs.Span) 
 		resp.OnlineCost = settled.Online
 		resp.OptCost = settled.Opt
 	}
-	s.rec.Add("observe_total", 1)
+	s.series.observes.get().Inc()
 	// A forecast riding along closes the prediction loop: the completed
 	// stop grades it into the quality histograms and side counters.
 	if req.PredictedStopSec != nil {
@@ -200,7 +204,7 @@ func (s *Server) observe(ctx context.Context, req ObserveRequest, sp *obs.Span) 
 	}
 	if up.Alarm {
 		resp.Alarm = true
-		s.rec.Add("retune_alarms_total", 1)
+		s.series.alarms.get().Inc()
 		if up.Warm && !s.observers.cfg.Disabled {
 			def, uerr := s.cache.Update(rec.state.ID, 0, up.Stats)
 			if uerr != nil {
@@ -211,7 +215,7 @@ func (s *Server) observe(ctx context.Context, req ObserveRequest, sp *obs.Span) 
 			} else {
 				resp.Retuned = true
 				resp.StatsVersion = def.rec.version
-				s.rec.Add("retune_total", 1)
+				s.series.retunes.get().Inc()
 			}
 		}
 	}
@@ -300,7 +304,7 @@ func (s *Server) crGauge(name string, p ledger.Pending) *obs.Gauge {
 // handleObserve serves POST /v1/observe.
 func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	var req ObserveRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := decodeRequest(s, "observe", r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad_request", "decode request: "+err.Error())
 		return
 	}
@@ -309,7 +313,7 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 		writeError(w, apiErr.Status, apiErr.Code, apiErr.Message)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	s.writeJSON(w, http.StatusOK, resp)
 }
 
 // handleObserveBatch serves POST /v1/observe/batch. Items apply
@@ -319,7 +323,7 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 // always 200 once it passes structural validation.
 func (s *Server) handleObserveBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchObserveRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := decodeRequest(s, "observe_batch", r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad_request", "decode request: "+err.Error())
 		return
 	}
@@ -352,7 +356,7 @@ func (s *Server) handleObserveBatch(w http.ResponseWriter, r *http.Request) {
 			resp.Settled++
 		}
 	}
-	s.rec.Add("observe_batch_total", 1)
+	s.series.observeBatches.get().Inc()
 	if sp := s.requestSpan(ctx); sp != nil {
 		sp.SetInt("items", int64(len(req.Observations)))
 		sp.SetInt("accepted", int64(resp.Accepted))
@@ -360,5 +364,6 @@ func (s *Server) handleObserveBatch(w http.ResponseWriter, r *http.Request) {
 		sp.SetInt("retunes", int64(resp.Retunes))
 		sp.SetInt("settled", int64(resp.Settled))
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeBatch(s, w, resp, resp.Results,
+		func(e *APIError) BatchObserveItem { return BatchObserveItem{Error: e} })
 }

@@ -24,9 +24,10 @@
 //	GET  /healthz                liveness (bypasses the limiter)
 //	GET  /metrics                obs registry snapshot (Prometheus/JSON)
 //
-// Robustness: read/write timeouts on the listener, a per-request
-// context deadline, a bounded in-flight limiter returning 429 on
-// overload, graceful drain on shutdown, and structured JSON errors.
+// Robustness: read/write timeouts on the listener, a deadline on the
+// batch fan-out, a bounded in-flight limiter returning 429 on
+// overload, graceful drain on shutdown, structured JSON errors, and
+// replies encoded before their header is sent.
 //
 // Forensics: every request gets an X-Request-Id (assigned or
 // propagated); with a TraceLog configured each request emits a span
@@ -69,7 +70,9 @@ type Config struct {
 	// RootSeed seeds decision randomness when a request carries no seed
 	// (default 20140601, the repo-wide experiment seed).
 	RootSeed uint64
-	// RequestTimeout is the per-request context deadline (default 10s).
+	// RequestTimeout bounds a batch decide's fan-out, the one handler
+	// that waits on a context (default 10s); the socket timeouts bound
+	// every request.
 	RequestTimeout time.Duration
 	// ReadTimeout / WriteTimeout are the http.Server socket timeouts
 	// (defaults 10s / 15s).
@@ -200,6 +203,10 @@ type Server struct {
 	decideTotal *obs.Series[string, obs.Counter]
 	crMu        sync.Mutex
 	crGauges    map[crKey]*obs.Gauge
+	// decodeFallback resolves http_decode_fallback_total{route} by
+	// route; series holds the unlabelled series of the serving paths.
+	decodeFallback *obs.Series[string, obs.Counter]
+	series         servingSeries
 
 	mu      sync.Mutex
 	ln      net.Listener
@@ -249,7 +256,11 @@ func New(cfg Config) (*Server, error) {
 			return reg.Counter(obs.L("decide_total", "choice", choice))
 		}),
 		crGauges: make(map[crKey]*obs.Gauge),
+		decodeFallback: obs.NewSeries(func(route string) *obs.Counter {
+			return reg.Counter(obs.L("http_decode_fallback_total", "route", route))
+		}),
 	}
+	s.series.bind(reg)
 	if cfg.Restore != nil {
 		// Re-apply the full plane so versions and trackers resume; the
 		// cache boot above only established the area set.
@@ -268,6 +279,53 @@ func New(cfg Config) (*Server, error) {
 	s.sampler = obs.NewSampler(cfg.HistoryInterval, cfg.HistoryWindow, s.probes()...)
 	s.handler = s.routes()
 	return s, nil
+}
+
+// named is one unlabelled series resolved by name on its first use: it
+// appears in the registry exactly when a by-name call would have
+// created it, and later calls cost one atomic load instead of a lock
+// and a map lookup.
+type named[M any] struct {
+	lazy obs.Lazy[M]
+	name string
+	mk   func(name string) *M
+}
+
+// bind names the series and the registry call that creates it.
+func (n *named[M]) bind(mk func(name string) *M, name string) {
+	n.mk, n.name = mk, name
+}
+
+// get returns the series, creating it on first use.
+func (n *named[M]) get() *M {
+	return n.lazy.Get(func() *M { return n.mk(n.name) })
+}
+
+// servingSeries are the unlabelled series the decide, batch and observe
+// paths touch on every call.
+type servingSeries struct {
+	cacheHits, cacheMisses, predictions, ledgerIssued, batchDecisions,
+	observes, observeBatches, settled, alarms, retunes, encodeFailed named[obs.Counter]
+	threshold, joinMS named[obs.Histogram]
+	inflight          named[obs.Gauge]
+}
+
+// bind names every series and the registry it is created in.
+func (m *servingSeries) bind(reg *obs.Registry) {
+	m.cacheHits.bind(reg.Counter, "decide_cache_hits_total")
+	m.cacheMisses.bind(reg.Counter, "decide_cache_misses_total")
+	m.predictions.bind(reg.Counter, "decide_prediction_total")
+	m.ledgerIssued.bind(reg.Counter, "ledger_issued_total")
+	m.batchDecisions.bind(reg.Counter, "batch_decisions_total")
+	m.observes.bind(reg.Counter, "observe_total")
+	m.observeBatches.bind(reg.Counter, "observe_batch_total")
+	m.settled.bind(reg.Counter, "ledger_settled_total")
+	m.alarms.bind(reg.Counter, "retune_alarms_total")
+	m.retunes.bind(reg.Counter, "retune_total")
+	m.encodeFailed.bind(reg.Counter, "http_encode_failed_total")
+	m.threshold.bind(reg.Histogram, "decide_threshold_sec")
+	m.joinMS.bind(reg.Histogram, "ledger_join_ms")
+	m.inflight.bind(reg.Gauge, "http_inflight_requests")
 }
 
 // probes selects the registry series /v1/history retains: request and

@@ -302,7 +302,7 @@ func (s *Server) handleSnapshotRestore(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.rec.Add("snapshot_restores_total", 1)
-	writeJSON(w, http.StatusOK, SnapshotRestoreResponse{
+	s.writeJSON(w, http.StatusOK, SnapshotRestoreResponse{
 		Restored:      len(p.Areas),
 		SchemaVersion: SnapshotSchemaVersion,
 	})
