@@ -35,15 +35,17 @@ test:
 race:
 	$(GO) test -race -shuffle=on ./...
 
-## race-stress: the registry, sampler and JSONL sink tests, and the
-## request decoder's pooled buffers, under the race detector ten times
-## over. Several goroutines reach that state at once (counter creation
-## beside family sums, writers racing Close, buffers passing between
-## requests), and a single -race pass rarely hits the risky
-## interleavings.
+## race-stress: the registry, sampler and JSONL sink tests, the
+## request decoder's pooled buffers, and the per-area slot lock (an
+## observe storm racing stats updates, and one racing snapshots), under
+## the race detector ten times over. Several goroutines reach that
+## state at once (counter creation beside family sums, writers racing
+## Close, buffers passing between requests, an observe's re-tune beside
+## a stats update or a snapshot of the same area), and a single -race
+## pass rarely hits the risky interleavings.
 race-stress:
 	$(GO) test -race -count=10 -run 'Registry|SumCounter|Sampler|JSONL|Rotating' ./internal/obs
-	$(GO) test -race -count=10 -run 'DecodeConcurrent' ./internal/server
+	$(GO) test -race -count=10 -run 'DecodeConcurrent|ObserveRacingStatsUpdate|SnapshotDuringObserveStorm' ./internal/server
 
 ## perfbench: vet and test the benchmark module. It is a nested Go
 ## module, so `go build ./...` above never compiles it; this step fails

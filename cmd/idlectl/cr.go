@@ -38,8 +38,9 @@ func crCmd(args []string, stdin io.Reader, stdout io.Writer) error {
 
 	// Replay ledger: a settle record in the log is proof the live daemon
 	// joined it, so the forensic pass must never expire or evict what
-	// the daemon kept — TTL effectively infinite, capacity generous.
-	led := ledger.New(ledger.Config{TTLMS: math.MaxInt64 / 2, Capacity: 1 << 20})
+	// the daemon kept — TTL effectively infinite, capacity generous
+	// (8 Mi pending decisions, 256 times the daemon's default).
+	led := ledger.New(ledger.Config{TTLMS: math.MaxInt64 / 2, Capacity: 8 << 20})
 
 	unjoined := 0
 	var issueErr error

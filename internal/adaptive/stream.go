@@ -158,7 +158,7 @@ func momentStats(wSum, muSum, qSum float64) skirental.Stats {
 // Tracker is the streaming per-area estimator: exponentially-weighted
 // constrained moments plus a CUSUM drift detector on the capped stop
 // length. It is deliberately dumb about concurrency — the caller
-// (idled's per-area observer) serializes Observe calls, so the stream
+// (idled's per-area slot) serializes Observe calls, so the stream
 // stays a deterministic function of the observation sequence.
 type Tracker struct {
 	cfg   StreamConfig

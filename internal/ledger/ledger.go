@@ -18,6 +18,16 @@
 // band against the engine's published worst-case bound and trips after
 // a configurable run of confidently-violating windows.
 //
+// Every number the ledger reports is finite. A CR that float64 cannot
+// hold reads as math.MaxFloat64: the mean optimal cost underflows
+// against the mean online cost (a settle at a subnormal stop: TOI's
+// restart B over a 5e-324 s stop), or a running cost sum overflowed,
+// which also saturates that mean cost. A band that float64 cannot hold
+// (its moments underflow, as for stops below ~1e-154 s, or overflow)
+// reads as not estimable, as a band of fewer than two effective
+// samples does. Every CR and band inside float64's range is computed
+// exactly as the formulas above say.
+//
 // The package is deliberately clock-free: callers pass wall times in,
 // every transition is a pure function of its inputs, and the full
 // state round-trips through State — which is what lets a snapshot
@@ -49,11 +59,10 @@ var (
 
 // Config parameterizes a Ledger. The zero value takes every default.
 type Config struct {
-	// Shards is the pending-table shard count, rounded up to a power of
-	// two (default 8). Purely a contention knob.
-	Shards int
-	// Capacity bounds pending entries per shard; the oldest entry is
-	// evicted (counted as expired) when a shard fills (default 4096).
+	// Capacity bounds the pending table, which holds every pending
+	// decision in issue order; when it is full the oldest entry is
+	// evicted (counted as expired). It also bounds the ring of settled
+	// ids kept for duplicate detection. Default 32768.
 	Capacity int
 	// TTLMS expires pending entries older than this many milliseconds
 	// at settle/issue time (default 600_000, ten minutes).
@@ -72,16 +81,8 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Shards <= 0 {
-		c.Shards = 8
-	}
-	n := 1
-	for n < c.Shards {
-		n <<= 1
-	}
-	c.Shards = n
 	if c.Capacity <= 0 {
-		c.Capacity = 4096
+		c.Capacity = 32768
 	}
 	if c.TTLMS <= 0 {
 		c.TTLMS = 600_000
@@ -213,7 +214,10 @@ func (a *accum) add(g, online, opt float64) {
 }
 
 // ratio returns the empirical CR (ratio of weighted means) and the
-// delta-method variance-band half-width z·sqrt(Var[CR]).
+// delta-method variance-band half-width z·sqrt(Var[CR]), under the
+// package's finiteness rule: a CR float64 cannot hold reads as
+// math.MaxFloat64, and a band it cannot hold reads as +Inf, not
+// estimable.
 func (a *accum) ratio(z float64) (cr, band float64) {
 	if a.w <= 0 || a.sumOp <= 0 {
 		return 0, 0
@@ -224,6 +228,9 @@ func (a *accum) ratio(z float64) (cr, band float64) {
 		return 0, 0
 	}
 	cr = meanOn / meanOp
+	if math.IsInf(cr, 1) || math.IsNaN(cr) {
+		return math.MaxFloat64, math.Inf(1)
+	}
 	neff := a.w * a.w / a.w2
 	if neff <= 1 {
 		return cr, math.Inf(1)
@@ -233,27 +240,34 @@ func (a *accum) ratio(z float64) (cr, band float64) {
 	cov := a.sumX/a.w - meanOn*meanOp
 	rel := varOn/(meanOn*meanOn) + varOp/(meanOp*meanOp) - 2*cov/(meanOn*meanOp)
 	v := cr * cr * math.Max(0, rel) / neff
-	return cr, z * math.Sqrt(v)
+	if band = z * math.Sqrt(v); math.IsNaN(band) {
+		band = math.Inf(1)
+	}
+	return cr, band
 }
 
-// shard is one pending-table partition: an id-keyed map plus an
-// insertion-ordered id list (the FIFO eviction and expiry order).
-// Settled ids move into a bounded ring so a duplicate settle is
-// distinguishable from an unknown one.
-type shard struct {
+// saturate reads a mean cost float64 cannot hold as math.MaxFloat64.
+func saturate(x float64) float64 {
+	if math.IsInf(x, 1) {
+		return math.MaxFloat64
+	}
+	return x
+}
+
+// Ledger is the decision-outcome join plane. Pending decisions live
+// in one table under mu: an id-keyed map plus the issue-ordered id
+// list that FIFO eviction and expiry walk. Settled ids move into a
+// bounded ring so a duplicate settle is distinguishable from an
+// unknown one.
+type Ledger struct {
+	cfg Config
+
 	mu      sync.Mutex
 	entries map[string]Pending
 	order   []string // issue order; may contain ids no longer in entries
 	head    int
-	settled map[string]bool
-	ring    []string // settled-id ring, oldest first
-}
-
-// Ledger is the decision-outcome join plane.
-type Ledger struct {
-	cfg    Config
-	shards []*shard
-	mask   uint64
+	done    map[string]bool // the ids in ring
+	ring    []string        // settled-id ring, oldest first
 
 	accMu  sync.Mutex
 	accums map[Key]*accum
@@ -263,34 +277,13 @@ type Ledger struct {
 
 // New builds a ledger.
 func New(cfg Config) *Ledger {
-	cfg = cfg.withDefaults()
-	l := &Ledger{
-		cfg:    cfg,
-		shards: make([]*shard, cfg.Shards),
-		mask:   uint64(cfg.Shards - 1),
-		accums: make(map[Key]*accum),
+	return &Ledger{
+		cfg:     cfg.withDefaults(),
+		entries: make(map[string]Pending),
+		done:    make(map[string]bool),
+		accums:  make(map[Key]*accum),
 	}
-	for i := range l.shards {
-		l.shards[i] = &shard{
-			entries: make(map[string]Pending),
-			settled: make(map[string]bool),
-		}
-	}
-	return l
 }
-
-// idHash is FNV-1a over the decision id (the same family the strategy
-// cache shards by).
-func idHash(id string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(id); i++ {
-		h ^= uint64(id[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
-func (l *Ledger) shardFor(id string) *shard { return l.shards[idHash(id)&l.mask] }
 
 // Issue enters one decision into the pending table. It returns the
 // number of entries the insert evicted (TTL-expired heads plus any
@@ -299,16 +292,15 @@ func (l *Ledger) Issue(p Pending) (int, error) {
 	if err := p.Validate(); err != nil {
 		return 0, err
 	}
-	sh := l.shardFor(p.ID)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, dup := sh.entries[p.ID]; dup {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if _, dup := l.entries[p.ID]; dup {
 		return 0, fmt.Errorf("ledger: duplicate issue of decision %s", p.ID)
 	}
-	sh.entries[p.ID] = p
-	sh.order = append(sh.order, p.ID)
+	l.entries[p.ID] = p
+	l.order = append(l.order, p.ID)
 	l.issued.Add(1)
-	evicted := sh.expireLocked(p.IssuedUnixMS-l.cfg.TTLMS, l.cfg.Capacity)
+	evicted := l.expireLocked(p.IssuedUnixMS-l.cfg.TTLMS, l.cfg.Capacity)
 	if evicted > 0 {
 		l.expired.Add(uint64(evicted))
 	}
@@ -316,40 +308,40 @@ func (l *Ledger) Issue(p Pending) (int, error) {
 }
 
 // expireLocked drops pending entries issued at or before cutoffMS and,
-// when capacity > 0, evicts oldest entries until the shard fits. It
+// when capacity > 0, evicts oldest entries until the table fits. It
 // also compacts the consumed head of the order list.
-func (sh *shard) expireLocked(cutoffMS int64, capacity int) int {
+func (l *Ledger) expireLocked(cutoffMS int64, capacity int) int {
 	evicted := 0
-	for sh.head < len(sh.order) {
-		id := sh.order[sh.head]
-		p, live := sh.entries[id]
+	for l.head < len(l.order) {
+		id := l.order[l.head]
+		p, live := l.entries[id]
 		if !live {
-			sh.head++ // settled or already evicted; skip the stale slot
+			l.head++ // settled or already evicted; skip the stale slot
 			continue
 		}
-		if p.IssuedUnixMS <= cutoffMS || (capacity > 0 && len(sh.entries) > capacity) {
-			delete(sh.entries, id)
-			sh.head++
+		if p.IssuedUnixMS <= cutoffMS || (capacity > 0 && len(l.entries) > capacity) {
+			delete(l.entries, id)
+			l.head++
 			evicted++
 			continue
 		}
 		break
 	}
-	if sh.head > 0 && sh.head*2 >= len(sh.order) {
-		sh.order = append(sh.order[:0], sh.order[sh.head:]...)
-		sh.head = 0
+	if l.head > 0 && l.head*2 >= len(l.order) {
+		l.order = append(l.order[:0], l.order[l.head:]...)
+		l.head = 0
 	}
 	return evicted
 }
 
 // rememberSettledLocked records a settled id in the bounded
 // duplicate-detection ring.
-func (sh *shard) rememberSettledLocked(id string, capacity int) {
-	sh.settled[id] = true
-	sh.ring = append(sh.ring, id)
-	for capacity > 0 && len(sh.ring) > capacity {
-		delete(sh.settled, sh.ring[0])
-		sh.ring = sh.ring[1:]
+func (l *Ledger) rememberSettledLocked(id string) {
+	l.done[id] = true
+	l.ring = append(l.ring, id)
+	for len(l.ring) > l.cfg.Capacity {
+		delete(l.done, l.ring[0])
+		l.ring = l.ring[1:]
 	}
 }
 
@@ -368,12 +360,11 @@ func (l *Ledger) Settle(id string, stopSec float64, nowMS int64) (Outcome, error
 	if stopSec < 0 || math.IsNaN(stopSec) || math.IsInf(stopSec, 0) {
 		return Outcome{}, fmt.Errorf("ledger: stop %v is not finite non-negative", stopSec)
 	}
-	sh := l.shardFor(id)
-	sh.mu.Lock()
-	p, ok := sh.entries[id]
+	l.mu.Lock()
+	p, ok := l.entries[id]
 	if !ok {
-		dup := sh.settled[id]
-		sh.mu.Unlock()
+		dup := l.done[id]
+		l.mu.Unlock()
 		if dup {
 			return Outcome{}, fmt.Errorf("%w: decision %s already settled", ErrDuplicateSettle, id)
 		}
@@ -383,8 +374,8 @@ func (l *Ledger) Settle(id string, stopSec float64, nowMS int64) (Outcome, error
 	if nowMS-p.IssuedUnixMS > l.cfg.TTLMS {
 		// Settle-after-expiry: the entry outlived its join window; drop
 		// it now and report the settle as unknown.
-		delete(sh.entries, id)
-		sh.mu.Unlock()
+		delete(l.entries, id)
+		l.mu.Unlock()
 		l.expired.Add(1)
 		l.orphaned.Add(1)
 		return Outcome{}, fmt.Errorf("%w: decision %s expired before settling", ErrUnknownDecision, id)
@@ -394,12 +385,12 @@ func (l *Ledger) Settle(id string, stopSec float64, nowMS int64) (Outcome, error
 	if math.IsInf(online, 0) {
 		// The threshold plus the restart overflow at a break-even
 		// interval near float64's limit; the entry stays pending.
-		sh.mu.Unlock()
+		l.mu.Unlock()
 		return Outcome{}, fmt.Errorf("ledger: stop %v settles decision %s at a cost that is not finite", stopSec, id)
 	}
-	delete(sh.entries, id)
-	sh.rememberSettledLocked(id, l.cfg.Capacity)
-	sh.mu.Unlock()
+	delete(l.entries, id)
+	l.rememberSettledLocked(id)
+	l.mu.Unlock()
 
 	// A clock stepped back, or an entry restored from a host whose
 	// clock ran ahead, can settle "before" its issue; the join latency
@@ -441,30 +432,23 @@ func (l *Ledger) Settle(id string, stopSec float64, nowMS int64) (Outcome, error
 	return out, nil
 }
 
-// ExpireBefore sweeps every shard, dropping pending entries whose join
+// ExpireBefore sweeps the pending table, dropping entries whose join
 // window ended before nowMS. It returns the number dropped.
 func (l *Ledger) ExpireBefore(nowMS int64) int {
-	total := 0
-	for _, sh := range l.shards {
-		sh.mu.Lock()
-		total += sh.expireLocked(nowMS-l.cfg.TTLMS, 0)
-		sh.mu.Unlock()
+	l.mu.Lock()
+	n := l.expireLocked(nowMS-l.cfg.TTLMS, 0)
+	l.mu.Unlock()
+	if n > 0 {
+		l.expired.Add(uint64(n))
 	}
-	if total > 0 {
-		l.expired.Add(uint64(total))
-	}
-	return total
+	return n
 }
 
 // PendingCount returns the live pending-entry count.
 func (l *Ledger) PendingCount() int {
-	n := 0
-	for _, sh := range l.shards {
-		sh.mu.Lock()
-		n += len(sh.entries)
-		sh.mu.Unlock()
-	}
-	return n
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.entries)
 }
 
 // Counters returns the monotone event counts.
@@ -515,8 +499,8 @@ func (l *Ledger) Rows() []Row {
 			Bound: a.bound, Breaches: a.breaches,
 		}
 		if a.w > 0 {
-			r.MeanOnline = a.sumOn / a.w
-			r.MeanOpt = a.sumOp / a.w
+			r.MeanOnline = saturate(a.sumOn / a.w)
+			r.MeanOpt = saturate(a.sumOp / a.w)
 		}
 		rows = append(rows, r)
 	}
@@ -581,9 +565,9 @@ func (a AccumState) validate() error {
 }
 
 // State is the ledger's complete serializable state: pending entries
-// in shard-scan issue order, the settled-id ring in the same order,
-// the accumulators sorted by key, and the counters. Capturing,
-// restoring, and capturing again yields byte-identical JSON.
+// in issue order, the settled-id ring oldest first, the accumulators
+// sorted by key, and the counters. Capturing, restoring, and capturing
+// again yields byte-identical JSON.
 type State struct {
 	Pending []Pending    `json:"pending,omitempty"`
 	Settled []string     `json:"settled_ids,omitempty"`
@@ -629,19 +613,18 @@ func (s State) Validate() error {
 	return nil
 }
 
-// State captures the full ledger state.
+// State captures the full ledger state, pending entries in the order
+// they were issued.
 func (l *Ledger) State() State {
 	var st State
-	for _, sh := range l.shards {
-		sh.mu.Lock()
-		for i := sh.head; i < len(sh.order); i++ {
-			if p, live := sh.entries[sh.order[i]]; live {
-				st.Pending = append(st.Pending, p)
-			}
+	l.mu.Lock()
+	for _, id := range l.order[l.head:] {
+		if p, live := l.entries[id]; live {
+			st.Pending = append(st.Pending, p)
 		}
-		st.Settled = append(st.Settled, sh.ring...)
-		sh.mu.Unlock()
 	}
+	st.Settled = append(st.Settled, l.ring...)
+	l.mu.Unlock()
 	l.accMu.Lock()
 	keys := make([]Key, 0, len(l.accums))
 	for k := range l.accums {
@@ -678,12 +661,11 @@ func (l *Ledger) Restore(st State) error {
 	}
 	fresh := New(l.cfg)
 	for _, p := range st.Pending {
-		sh := fresh.shardFor(p.ID)
-		sh.entries[p.ID] = p
-		sh.order = append(sh.order, p.ID)
+		fresh.entries[p.ID] = p
+		fresh.order = append(fresh.order, p.ID)
 	}
 	for _, id := range st.Settled {
-		fresh.shardFor(id).rememberSettledLocked(id, l.cfg.Capacity)
+		fresh.rememberSettledLocked(id)
 	}
 	for _, a := range st.Accums {
 		fresh.accums[Key{Area: a.Area, Engine: a.Engine}] = &accum{
@@ -699,13 +681,10 @@ func (l *Ledger) Restore(st State) error {
 	l.accMu.Lock()
 	l.accums = fresh.accums
 	l.accMu.Unlock()
-	for i, sh := range l.shards {
-		nsh := fresh.shards[i]
-		sh.mu.Lock()
-		sh.entries, sh.order, sh.head = nsh.entries, nsh.order, nsh.head
-		sh.settled, sh.ring = nsh.settled, nsh.ring
-		sh.mu.Unlock()
-	}
+	l.mu.Lock()
+	l.entries, l.order, l.head = fresh.entries, fresh.order, fresh.head
+	l.done, l.ring = fresh.done, fresh.ring
+	l.mu.Unlock()
 	l.issued.Store(st.Counters.Issued)
 	l.settled.Store(st.Counters.Settled)
 	l.orphaned.Store(st.Counters.Orphaned)

@@ -161,7 +161,7 @@ func TestSettleAfterExpiry(t *testing.T) {
 }
 
 func TestIssueExpiresStaleHeads(t *testing.T) {
-	l := New(Config{Shards: 1, TTLMS: 1000})
+	l := New(Config{TTLMS: 1000})
 	for i := 0; i < 5; i++ {
 		if _, err := l.Issue(pend(fmt.Sprintf("old-%d", i), 0)); err != nil {
 			t.Fatal(err)
@@ -180,7 +180,7 @@ func TestIssueExpiresStaleHeads(t *testing.T) {
 }
 
 func TestCapacityEviction(t *testing.T) {
-	l := New(Config{Shards: 1, Capacity: 4, TTLMS: 1 << 40})
+	l := New(Config{Capacity: 4, TTLMS: 1 << 40})
 	for i := 0; i < 10; i++ {
 		if _, err := l.Issue(pend(fmt.Sprintf("d-%d", i), int64(i))); err != nil {
 			t.Fatal(err)
@@ -499,11 +499,155 @@ func TestExpireBefore(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
-	if c.Shards != 8 || c.Capacity != 4096 || c.TTLMS != 600_000 ||
+	if c.Capacity != 32768 || c.TTLMS != 600_000 ||
 		c.Forgetting != 1 || c.Window != 20 || c.Patience != 3 || c.Band != 2 {
 		t.Errorf("defaults %+v", c)
 	}
-	if got := (Config{Shards: 5}).withDefaults().Shards; got != 8 {
-		t.Errorf("shards rounded to %d, want 8", got)
+}
+
+// TestCapacityBoundsWholeTable: Capacity bounds every pending decision
+// together, whatever their ids, and eviction keeps the newest.
+func TestCapacityBoundsWholeTable(t *testing.T) {
+	l := New(Config{Capacity: 4, TTLMS: 1 << 40})
+	for i := 0; i < 100; i++ {
+		if _, err := l.Issue(pend(fmt.Sprintf("d-%d", i), int64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var ids []string
+	for _, p := range l.State().Pending {
+		ids = append(ids, p.ID)
+	}
+	if fmt.Sprint(ids) != "[d-96 d-97 d-98 d-99]" {
+		t.Errorf("pending %v, want the 4 newest", ids)
+	}
+	if c := l.Counters(); c.Expired != 96 {
+		t.Errorf("expired %d, want 96", c.Expired)
+	}
+}
+
+// TestSettledRingBoundedByCapacity: the duplicate-detection ring keeps
+// the Capacity most recent settled ids, over the whole ledger.
+func TestSettledRingBoundedByCapacity(t *testing.T) {
+	l := New(Config{Capacity: 4, TTLMS: 1 << 40})
+	for i := 0; i < 10; i++ {
+		id := fmt.Sprintf("d-%d", i)
+		if _, err := l.Issue(pend(id, int64(i))); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := l.Settle(id, 5, int64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := fmt.Sprint(l.State().Settled); got != "[d-6 d-7 d-8 d-9]" {
+		t.Errorf("settled ring %s, want the 4 newest", got)
+	}
+	if _, err := l.Settle("d-9", 5, 10); !errors.Is(err, ErrDuplicateSettle) {
+		t.Errorf("recent settled id: %v, want duplicate", err)
+	}
+	if _, err := l.Settle("d-5", 5, 10); !errors.Is(err, ErrUnknownDecision) {
+		t.Errorf("id past the ring: %v, want unknown", err)
+	}
+}
+
+// TestStatePendingInIssueOrder: State lists pending entries in the
+// order they were issued.
+func TestStatePendingInIssueOrder(t *testing.T) {
+	l := New(Config{})
+	var want []string
+	for i := 0; i < 50; i++ {
+		id := fmt.Sprintf("z-%d", 49-i)
+		want = append(want, id)
+		if _, err := l.Issue(pend(id, int64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var got []string
+	for _, p := range l.State().Pending {
+		got = append(got, p.ID)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("pending order %v, want issue order %v", got, want)
+	}
+}
+
+// settleAll issues one TOI decision (threshold 0, B = 28) per stop and
+// settles it with that stop.
+func settleAll(t *testing.T, l *Ledger, stops ...float64) Outcome {
+	t.Helper()
+	var out Outcome
+	for i, y := range stops {
+		p := pend(fmt.Sprintf("toi-%d", i), 0)
+		p.ThresholdSec = 0
+		if _, err := l.Issue(p); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		if out, err = l.Settle(p.ID, y, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+// TestSubnormalStopCRFinite: TOI settled by a 5e-324 s stop pays the
+// 28-s restart against an optimal cost of 5e-324, a ratio float64
+// cannot hold; the CR reads as the largest finite float64 and the
+// band as not estimable.
+func TestSubnormalStopCRFinite(t *testing.T) {
+	l := New(Config{})
+	out := settleAll(t, l, 5e-324)
+	if out.CR != math.MaxFloat64 || !math.IsInf(out.Band, 1) {
+		t.Errorf("outcome CR %v band %v, want MaxFloat64 and not estimable", out.CR, out.Band)
+	}
+	rows := l.Rows()
+	if len(rows) != 1 || rows[0].CR != math.MaxFloat64 || rows[0].Band != -1 {
+		t.Fatalf("rows %+v", rows)
+	}
+	if _, err := json.Marshal(rows); err != nil {
+		t.Errorf("rows do not encode: %v", err)
+	}
+}
+
+// TestTinyStopsBandNotEstimable: two settles at 1e-200 s keep their
+// finite CR bit for bit, while the band's squared means underflow; the
+// band reads as not estimable.
+func TestTinyStopsBandNotEstimable(t *testing.T) {
+	l := New(Config{})
+	out := settleAll(t, l, 1e-200, 1e-200)
+	if want := (56.0 / 2) / (2e-200 / 2); out.CR != want || !math.IsInf(out.Band, 1) {
+		t.Errorf("outcome CR %v band %v, want %v and not estimable", out.CR, out.Band, want)
+	}
+	rows := l.Rows()
+	if len(rows) != 1 || rows[0].Band != -1 {
+		t.Fatalf("rows %+v", rows)
+	}
+	if _, err := json.Marshal(rows); err != nil {
+		t.Errorf("rows do not encode: %v", err)
+	}
+}
+
+// TestOverflowedCostSumSaturates: two settles whose online costs each
+// sit near float64's limit overflow the running sums; the CR and the
+// mean costs read as the largest finite float64.
+func TestOverflowedCostSumSaturates(t *testing.T) {
+	l := New(Config{})
+	for i := 0; i < 2; i++ {
+		p := pend(fmt.Sprintf("big-%d", i), 0)
+		p.B, p.ThresholdSec = 1e308, 0
+		if _, err := l.Issue(p); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := l.Settle(p.ID, 1e308, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rows := l.Rows()
+	if len(rows) != 1 || rows[0].CR != math.MaxFloat64 || rows[0].Band != -1 ||
+		rows[0].MeanOnline != math.MaxFloat64 || rows[0].MeanOpt != math.MaxFloat64 {
+		t.Fatalf("rows %+v", rows)
+	}
+	if _, err := json.Marshal(rows); err != nil {
+		t.Errorf("rows do not encode: %v", err)
 	}
 }

@@ -183,7 +183,9 @@ func (h *Histogram) Observe(v float64) {
 		h.max = v
 	}
 	h.count++
-	h.sum += v
+	// The running sum saturates at float64's largest finite magnitude,
+	// so a snapshot stays encodable however large the observations.
+	h.sum = math.Max(-math.MaxFloat64, math.Min(h.sum+v, math.MaxFloat64))
 	if v <= 0 {
 		h.zero++
 		return

@@ -100,6 +100,24 @@ func TestHistogramEdgeCases(t *testing.T) {
 	}
 }
 
+// TestHistogramSumSaturates: a running sum past float64's range reads
+// as its largest finite magnitude, so the JSON snapshot still encodes.
+func TestHistogramSumSaturates(t *testing.T) {
+	r := NewRegistry()
+	up, down := r.Histogram("up"), r.Histogram("down")
+	for i := 0; i < 3; i++ {
+		up.Observe(1e308)
+		down.Observe(-1e308)
+	}
+	if up.Sum() != math.MaxFloat64 || down.Sum() != -math.MaxFloat64 {
+		t.Errorf("sums %v, %v, want ±MaxFloat64", up.Sum(), down.Sum())
+	}
+	var buf bytes.Buffer
+	if err := r.Snapshot().WriteJSON(&buf); err != nil {
+		t.Errorf("snapshot does not encode: %v", err)
+	}
+}
+
 // TestRegistryConcurrentWriters hammers one registry from many
 // goroutines; run with -race (the Makefile check target does).
 func TestRegistryConcurrentWriters(t *testing.T) {

@@ -289,7 +289,7 @@ func DefaultSuites() []Benchmark {
 			// One competitive-ratio ledger join: issue a pending decision
 			// and settle it — the pure library cost every opted-in
 			// decide/observe pair adds on top of the serving path
-			// (sharded table insert/remove, realized-cost computation,
+			// (pending-table insert/remove, realized-cost computation,
 			// accumulator and breach-detector advance).
 			Name: "ledger_settle", Class: "cpu", Iters: 20000,
 			Setup: func() (Op, func(), error) {

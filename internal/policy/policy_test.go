@@ -3,6 +3,7 @@ package policy
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand/v2"
 	"strings"
@@ -19,6 +20,17 @@ func (f fakeEngine) Name() string                    { return f.name }
 func (f fakeEngine) Version() int                    { return f.version }
 func (f fakeEngine) Doc() string                     { return "test engine" }
 func (f fakeEngine) Prepare(Stats) (Strategy, error) { return nil, ErrInfeasible }
+
+// unregister removes a test's engine from the process-wide registry, so
+// no later test (in any order, in any repeated run) sees it.
+func unregister(name string) {
+	regMu.Lock()
+	defer regMu.Unlock()
+	delete(registry, name)
+	next := maps.Clone(*specs.Load())
+	delete(next, name)
+	specs.Store(&next)
+}
 
 func TestRegistryHasBuiltins(t *testing.T) {
 	names := Names()
@@ -107,6 +119,7 @@ func TestRegisterValidation(t *testing.T) {
 
 	// A fresh name registers once, then panics on the second attempt.
 	Register(fakeEngine{name: "dup-probe", version: 1})
+	t.Cleanup(func() { unregister("dup-probe") })
 	mustPanic("duplicate fresh", "duplicate", fakeEngine{name: "dup-probe", version: 2})
 }
 

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"idlereduce/internal/adaptive"
 	"idlereduce/internal/obs"
 	"idlereduce/internal/policy"
 	"idlereduce/internal/predict"
@@ -193,11 +194,19 @@ func sameParams(a, b map[string]float64) bool {
 	})
 }
 
-// slot holds one area's current view. Readers take one atomic load;
-// the area's writers serialize on mu and publish a new view.
+// slot is one area's home: its current view and its observation
+// stream. Readers of the view take one atomic load. Everything that
+// writes the area serializes on mu: a stats update or lazy fill
+// publishing a view, and an observe, which holds mu from reading the
+// area's record through its stream's transition to the re-tune that
+// transition triggers. A reader that needs the record and the stream
+// as one pair reads both under mu.
 type slot struct {
 	mu   sync.Mutex
 	view atomic.Pointer[view]
+	// tr is the area's observation stream, measured at the break-even
+	// interval tr.B(); nil until the area's first observe.
+	tr *adaptive.Tracker
 }
 
 // Cache is the read-mostly strategy cache: one slot per area. The area
@@ -296,15 +305,6 @@ func (c *Cache) view(id string) (*view, bool) {
 	return sl.view.Load(), true
 }
 
-// Area returns the current record of an area (case-insensitive).
-func (c *Cache) Area(id string) (*areaRec, bool) {
-	v, ok := c.view(id)
-	if !ok {
-		return nil, false
-	}
-	return v.rec, true
-}
-
 // Get returns an area's default-engine strategy (the legacy lookup
 // surface; always present for configured areas).
 func (c *Cache) Get(id string) (*strategy, bool) {
@@ -363,6 +363,11 @@ func (c *Cache) Update(id string, b float64, s skirental.Stats) (*strategy, erro
 	}
 	sl.mu.Lock()
 	defer sl.mu.Unlock()
+	return c.updateLocked(sl, b, s)
+}
+
+// updateLocked is Update for a caller that holds sl.mu.
+func (c *Cache) updateLocked(sl *slot, b float64, s skirental.Stats) (*strategy, error) {
 	prev := sl.view.Load().rec
 	if b <= 0 || math.IsNaN(b) {
 		b = prev.state.B
@@ -381,14 +386,17 @@ func (c *Cache) Update(id string, b float64, s skirental.Stats) (*strategy, erro
 }
 
 // Restore replaces the state of existing areas from a snapshot: for
-// each entry the record (state AND statistics version) is rebuilt and
-// a fresh view prepared. All entries are validated and prepared before
-// any view is published, so a bad snapshot changes nothing. Entries
-// naming unknown areas are rejected: the serving area set is fixed at
-// boot. Each area's view swaps atomically under its own slot lock.
-func (c *Cache) Restore(entries []AreaSnapshot) error {
+// each entry the record (state AND statistics version) is rebuilt, a
+// fresh view prepared and the observation stream rebuilt at the
+// record's break-even interval under rc (a zero tracker state restores
+// to no stream). Every view and stream is built before any is
+// published, so a bad snapshot changes nothing. Entries naming unknown
+// areas are rejected: the serving area set is fixed at boot. Each
+// area's (view, stream) pair swaps under its own slot lock.
+func (c *Cache) Restore(entries []AreaSnapshot, rc RetuneConfig) error {
 	slots := make([]*slot, len(entries))
 	views := make([]*view, len(entries))
+	streams := make([]*adaptive.Tracker, len(entries))
 	seen := make(map[string]bool, len(entries))
 	for i, e := range entries {
 		rec, err := newAreaRec(e.AreaState, e.Version)
@@ -409,11 +417,20 @@ func (c *Cache) Restore(entries []AreaSnapshot) error {
 		if views[i], err = c.newView(rec); err != nil {
 			return err
 		}
+		if e.Tracker != (adaptive.TrackerState{}) {
+			if streams[i], err = rc.newStream(rec.state.B); err == nil {
+				err = streams[i].RestoreState(e.Tracker)
+			}
+			if err != nil {
+				return fmt.Errorf("server: restore: area %s: %w", rec.state.ID, err)
+			}
+		}
 		slots[i] = sl
 	}
 	for i, sl := range slots {
 		sl.mu.Lock()
 		sl.view.Store(views[i])
+		sl.tr = streams[i]
 		sl.mu.Unlock()
 	}
 	return nil
@@ -428,11 +445,20 @@ func (c *Cache) views() []*view {
 	return out
 }
 
-// Areas returns every area's current record in ID order.
-func (c *Cache) Areas() []*areaRec {
-	out := make([]*areaRec, len(c.order))
+// snapshot returns every area's record and stream state in ID order,
+// each pair read under its slot lock. A stream left at a break-even
+// interval the area no longer has restarts on the area's next observe,
+// so it snapshots as no stream.
+func (c *Cache) snapshot() []AreaSnapshot {
+	out := make([]AreaSnapshot, len(c.order))
 	for i, sl := range c.order {
-		out[i] = sl.view.Load().rec
+		sl.mu.Lock()
+		rec := sl.view.Load().rec
+		out[i] = AreaSnapshot{AreaState: rec.state, Version: rec.version}
+		if sl.tr != nil && sl.tr.B() == rec.state.B {
+			out[i].Tracker = sl.tr.State()
+		}
+		sl.mu.Unlock()
 	}
 	return out
 }

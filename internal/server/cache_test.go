@@ -111,13 +111,13 @@ func TestCacheAreasSorted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	list := c.Areas()
-	if len(list) != 2 || list[0].state.ID != "atlanta" || list[1].state.ID != "chicago" {
+	list := c.views()
+	if len(list) != 2 || list[0].rec.state.ID != "atlanta" || list[1].rec.state.ID != "chicago" {
 		ids := make([]string, len(list))
-		for i, rec := range list {
-			ids[i] = rec.state.ID
+		for i, v := range list {
+			ids[i] = v.rec.state.ID
 		}
-		t.Errorf("Areas order %v", ids)
+		t.Errorf("views order %v", ids)
 	}
 	if c.Len() != 2 {
 		t.Errorf("Len %d", c.Len())

@@ -44,13 +44,18 @@ func serveProbe(t *testing.T, h http.Handler, method, path, body string) (int, [
 // values, including the feasibility edges mu = B(1-q), q = 0 and q = 1.
 // It fails on any 5xx, on a 2xx whose body is empty or not JSON, and on
 // an area that stops answering default decides after a request the
-// server accepted. Each four bytes of the input are one request: the
-// operation, and three picks of values and variants.
+// server accepted. After every step, accepted or not, the ledger
+// table, the metrics history (sampled first) and the JSON metrics must
+// answer 200 with a JSON body. Each four bytes of the input are one
+// request: the operation, and three picks of values and variants.
 func FuzzServeExtremes(f *testing.F) {
 	f.Add([]byte{0, 12, 1, 0, 1, 12, 0, 0, 2, 12, 5, 1})        // the b = 1e308 probes
 	f.Add([]byte{0, 10, 4, 5, 3, 14, 12, 1, 5, 10, 14, 1})      // B = 1e300 at mu = B(1-q), stops at the top
 	f.Add([]byte{0, 6, 0, 4, 1, 15, 9, 2, 4, 12, 1, 0})         // q = 1, then a forecast and negative values
 	f.Add([]byte{128, 11, 0, 8, 129, 11, 9, 3, 133, 11, 14, 0}) // atlanta: B = 1e307, q = 0
+	f.Add([]byte{0, 6, 0, 5, 5, 6, 1, 0})                       // TOI at B = 28 settled by a 5e-324 s stop
+	f.Add([]byte{0, 6, 0, 5, 5, 6, 3, 0, 5, 6, 3, 1})           // TOI settled twice at 1e-300 s
+	f.Add([]byte{0, 12, 0, 5, 5, 12, 14, 0, 5, 12, 14, 1})      // TOI at B = 1e308 settled twice past B: the cost sums overflow
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		s, err := New(Config{Areas: testAreas(), Retune: RetuneConfig{MinObservations: 2, DriftWarmup: 2}})
 		if err != nil {
@@ -92,16 +97,20 @@ func FuzzServeExtremes(f *testing.F) {
 					fmt.Sprintf(`{"observations":[{"area":%q,"stop_sec":%s},{"area":%q,"stop_sec":%s}]}`,
 						area, num(pick(x)), area, num(pick(y))))
 			case 5: // ledger decide at B = pick(x), settled by a stop of pick(y)
-				var c int
 				var body []byte
-				c, body = serveProbe(t, h, http.MethodPost, "/v1/decide",
+				code, body = serveProbe(t, h, http.MethodPost, "/v1/decide",
 					fmt.Sprintf(`{"vehicle_id":"l%d","area":%q,"b":%s,"ledger":true}`, z, area, num(pick(x))))
 				var d DecideResponse
-				if c != http.StatusOK || json.Unmarshal(body, &d) != nil || d.DecisionID == "" {
-					continue
+				if code == http.StatusOK && json.Unmarshal(body, &d) == nil && d.DecisionID != "" {
+					code, _ = serveProbe(t, h, http.MethodPost, "/v1/observe",
+						fmt.Sprintf(`{"area":%q,"stop_sec":%s,"decision_id":%q}`, area, num(pick(y)), d.DecisionID))
 				}
-				code, _ = serveProbe(t, h, http.MethodPost, "/v1/observe",
-					fmt.Sprintf(`{"area":%q,"stop_sec":%s,"decision_id":%q}`, area, num(pick(y)), d.DecisionID))
+			}
+			s.sampler.Sample()
+			for _, path := range []string{"/v1/cr", "/v1/history", "/metrics?format=json"} {
+				if c, body := serveProbe(t, h, http.MethodGet, path, ""); c != http.StatusOK {
+					t.Fatalf("GET %s: %d %s", path, c, body)
+				}
 			}
 			if code >= 300 {
 				continue

@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -423,4 +424,66 @@ func newRestoredTestServer(t *testing.T, s *Server) *httptest.Server {
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return ts
+}
+
+// tinyStopCR makes chicago TOI, settles one ledger decide per stop
+// through Handler() and returns the handler; every read of the ledger
+// plane must answer 200 with a JSON body afterwards.
+func tinyStopCR(t *testing.T, stops ...float64) http.Handler {
+	t.Helper()
+	s, err := New(Config{Areas: testAreas()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	if code, raw := serveJSON(h, "PUT", "/v1/areas/chicago/stats", `{"b":28,"mu":0,"q":1}`); code != http.StatusOK {
+		t.Fatalf("stats update: %d %s", code, raw)
+	}
+	for i, y := range stops {
+		code, raw := serveJSON(h, "POST", "/v1/decide", fmt.Sprintf(`{"vehicle_id":"v-%d","area":"chicago","ledger":true}`, i))
+		var d DecideResponse
+		if code != http.StatusOK || json.Unmarshal(raw, &d) != nil || d.Choice != "TOI" {
+			t.Fatalf("ledger decide: %d %s", code, raw)
+		}
+		if code, raw := serveJSON(h, "POST", "/v1/observe", fmt.Sprintf(`{"area":"chicago","stop_sec":%v,"decision_id":%q}`, y, d.DecisionID)); code != http.StatusOK {
+			t.Fatalf("settle at %v: %d %s", y, code, raw)
+		}
+	}
+	s.sampler.Sample()
+	for _, path := range []string{"/v1/cr", "/v1/history", "/metrics?format=json"} {
+		if code, raw := serveJSON(h, "GET", path, ""); code != http.StatusOK || !json.Valid(raw) {
+			t.Errorf("GET %s: %d %s", path, code, raw)
+		}
+	}
+	return h
+}
+
+// TestCRFiniteAtSubnormalStop: TOI settled by a 5e-324 s stop has a CR
+// float64 cannot hold (28 / 5e-324); the ledger reports the largest
+// finite float64 and a band that is not estimable.
+func TestCRFiniteAtSubnormalStop(t *testing.T) {
+	h := tinyStopCR(t, 5e-324)
+	_, raw := serveJSON(h, "GET", "/v1/cr", "")
+	var table CRResponse
+	if err := json.Unmarshal(raw, &table); err != nil {
+		t.Fatal(err)
+	}
+	if row := crRow(t, table, "chicago", "constrained@v1"); row.CR != math.MaxFloat64 || row.Band != -1 {
+		t.Errorf("row %+v, want cr MaxFloat64 and band -1", row)
+	}
+}
+
+// TestCRFiniteAtTinyStops: two TOI settles at 1e-200 s keep their
+// finite CR bit for bit; the band, whose squared means underflow to 0,
+// is reported as not estimable.
+func TestCRFiniteAtTinyStops(t *testing.T) {
+	h := tinyStopCR(t, 1e-200, 1e-200)
+	_, raw := serveJSON(h, "GET", "/v1/cr", "")
+	var table CRResponse
+	if err := json.Unmarshal(raw, &table); err != nil {
+		t.Fatal(err)
+	}
+	if row := crRow(t, table, "chicago", "constrained@v1"); row.CR != 28/1e-200 || row.Band != -1 {
+		t.Errorf("row %+v, want cr %v and band -1", row, 28/1e-200)
+	}
 }

@@ -220,6 +220,26 @@ func RunLoad(ctx context.Context, opts LoadOptions) (LoadReport, error) {
 	lat := rec.Registry().Histogram("loadtest_request_ms")
 	decideLat := rec.Registry().Histogram("loadtest_decide_ms")
 	observeLat := rec.Registry().Histogram("loadtest_observe_ms")
+	// done records one request sent at sent: its latency, over every
+	// request and in its kind's histogram, the request count, and its
+	// failure class (a 429 is load shed; a transport failure or any
+	// other non-200 reply is an error). It reports whether the reply
+	// was a 200 whose counts the caller may add.
+	done := func(kind *obs.Histogram, sent time.Time, status int, err error) bool {
+		ms := float64(time.Since(sent)) / float64(time.Millisecond)
+		lat.Observe(ms)
+		kind.Observe(ms)
+		rec.Add("loadtest_requests_total", 1)
+		switch {
+		case err == nil && status == http.StatusTooManyRequests:
+			rec.Add("loadtest_429_total", 1)
+		case err != nil || status != http.StatusOK:
+			rec.Add("loadtest_errors_total", 1)
+		default:
+			return true
+		}
+		return false
+	}
 
 	// Bracket the run with MemStats reads: allocation rate per served
 	// decision and GC pause totals land in the registry (and hence the
@@ -250,18 +270,7 @@ func RunLoad(ctx context.Context, opts LoadOptions) (LoadReport, error) {
 					}
 					sent := time.Now()
 					status, accepted, alarms, retunes, _, err := postObserveBatch(ctx, client, base, req)
-					ms := float64(time.Since(sent)) / float64(time.Millisecond)
-					lat.Observe(ms)
-					observeLat.Observe(ms)
-					rec.Add("loadtest_requests_total", 1)
-					switch {
-					case err != nil:
-						rec.Add("loadtest_errors_total", 1)
-					case status == http.StatusTooManyRequests:
-						rec.Add("loadtest_429_total", 1)
-					case status != http.StatusOK:
-						rec.Add("loadtest_errors_total", 1)
-					default:
+					if done(observeLat, sent, status, err) {
 						rec.Add("loadtest_observations_total", int64(accepted))
 						rec.Add("loadtest_alarms_total", int64(alarms))
 						rec.Add("loadtest_retunes_total", int64(retunes))
@@ -288,22 +297,12 @@ func RunLoad(ctx context.Context, opts LoadOptions) (LoadReport, error) {
 				}
 				sent := time.Now()
 				status, decided, cached, ids, err := postBatch(ctx, client, base, req)
-				ms := float64(time.Since(sent)) / float64(time.Millisecond)
-				lat.Observe(ms)
-				decideLat.Observe(ms)
-				rec.Add("loadtest_requests_total", 1)
-				switch {
-				case err != nil:
-					rec.Add("loadtest_errors_total", 1)
-				case status == http.StatusTooManyRequests:
-					rec.Add("loadtest_429_total", 1)
-				case status != http.StatusOK:
-					rec.Add("loadtest_errors_total", 1)
-				default:
-					rec.Add("loadtest_decisions_total", int64(decided))
-					rec.Add("loadtest_cached_total", int64(cached))
+				if !done(decideLat, sent, status, err) {
+					continue
 				}
-				if !settleSlot || err != nil || status != http.StatusOK {
+				rec.Add("loadtest_decisions_total", int64(decided))
+				rec.Add("loadtest_cached_total", int64(cached))
+				if !settleSlot {
 					continue
 				}
 				// Every 16th settle slot corrupts one decision id: the
@@ -332,18 +331,7 @@ func RunLoad(ctx context.Context, opts LoadOptions) (LoadReport, error) {
 				}
 				sent = time.Now()
 				status, accepted, alarms, retunes, settled, err := postObserveBatch(ctx, client, base, oreq)
-				ms = float64(time.Since(sent)) / float64(time.Millisecond)
-				lat.Observe(ms)
-				observeLat.Observe(ms)
-				rec.Add("loadtest_requests_total", 1)
-				switch {
-				case err != nil:
-					rec.Add("loadtest_errors_total", 1)
-				case status == http.StatusTooManyRequests:
-					rec.Add("loadtest_429_total", 1)
-				case status != http.StatusOK:
-					rec.Add("loadtest_errors_total", 1)
-				default:
+				if done(observeLat, sent, status, err) {
 					rec.Add("loadtest_observations_total", int64(accepted))
 					rec.Add("loadtest_alarms_total", int64(alarms))
 					rec.Add("loadtest_retunes_total", int64(retunes))

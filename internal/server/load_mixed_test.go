@@ -54,8 +54,8 @@ func TestLoadMixedObserveDecide(t *testing.T) {
 		t.Errorf("server retune_total %d, report %d", got, report.Retunes)
 	}
 	bumped := false
-	for _, rec := range s.cache.Areas() {
-		if rec.version > 1 {
+	for _, v := range s.cache.views() {
+		if v.rec.version > 1 {
 			bumped = true
 			break
 		}

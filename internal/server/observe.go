@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"sync"
 	"time"
 
 	"idlereduce/internal/adaptive"
@@ -51,9 +50,10 @@ func (c RetuneConfig) withDefaults() RetuneConfig {
 	return c
 }
 
-// streamConfig renders the tracker config for one area.
-func (c RetuneConfig) streamConfig(b float64) adaptive.StreamConfig {
-	return adaptive.StreamConfig{
+// newStream starts an observation stream measured at break-even b.
+func (c RetuneConfig) newStream(b float64) (*adaptive.Tracker, error) {
+	c = c.withDefaults()
+	return adaptive.NewTracker(adaptive.StreamConfig{
 		B:               b,
 		Forgetting:      c.Forgetting,
 		MinObservations: c.MinObservations,
@@ -62,44 +62,7 @@ func (c RetuneConfig) streamConfig(b float64) adaptive.StreamConfig {
 			Slack:     c.DriftSlack,
 			Warmup:    c.DriftWarmup,
 		},
-	}
-}
-
-// observer is one area's streaming estimator. Observations on the
-// same area serialize on mu so the stream is a deterministic function
-// of the observation order; observations on different areas never
-// contend.
-type observer struct {
-	mu sync.Mutex
-	tr *adaptive.Tracker
-}
-
-// observerSet holds the per-area observers. The area set is fixed at
-// boot, so the map itself is read-only after construction; all
-// mutation happens inside each observer under its own lock.
-type observerSet struct {
-	cfg RetuneConfig
-	m   map[string]*observer
-}
-
-// newObserverSet builds one tracker per boot-time area.
-func newObserverSet(cfg RetuneConfig, areas []*areaRec) (*observerSet, error) {
-	cfg = cfg.withDefaults()
-	set := &observerSet{cfg: cfg, m: make(map[string]*observer, len(areas))}
-	for _, rec := range areas {
-		tr, err := adaptive.NewTracker(cfg.streamConfig(rec.state.B))
-		if err != nil {
-			return nil, fmt.Errorf("server: observer for area %s: %w", rec.state.ID, err)
-		}
-		set.m[rec.state.ID] = &observer{tr: tr}
-	}
-	return set, nil
-}
-
-// get returns an area's observer (IDs are normalized by the caller).
-func (s *observerSet) get(id string) (*observer, bool) {
-	o, ok := s.m[id]
-	return o, ok
+	})
 }
 
 // observe applies one validated observation to an area's stream and
@@ -120,30 +83,30 @@ func (s *Server) observe(ctx context.Context, req ObserveRequest, sp *obs.Span) 
 			return nil, &APIError{Code: "invalid_prediction", Message: err.Error(), Status: http.StatusBadRequest}
 		}
 	}
-	rec, ok := s.cache.Area(req.Area)
+	sl, ok := s.cache.slot(req.Area)
 	if !ok {
 		return nil, &APIError{Code: "unknown_area", Message: fmt.Sprintf("unknown area %q", req.Area), Status: http.StatusNotFound}
 	}
-	o, ok := s.observers.get(rec.state.ID)
-	if !ok {
-		// Unreachable with the boot-fixed area set; fail loudly if the
-		// invariant ever breaks.
-		return nil, &APIError{Code: "internal", Message: fmt.Sprintf("no observer for area %q", rec.state.ID), Status: http.StatusInternalServerError}
-	}
 
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	// A stats update may have moved the area's break-even interval;
-	// the moments are only meaningful at one B, so the stream restarts
-	// against the new interval.
-	if o.tr.B() != rec.state.B {
-		tr, err := adaptive.NewTracker(s.observers.cfg.streamConfig(rec.state.B))
+	// The slot lock is held for the whole transition, so the record the
+	// stream is measured against, the stream itself and a re-tune the
+	// observation triggers form one step no stats update or snapshot
+	// can split.
+	sl.mu.Lock()
+	defer sl.mu.Unlock()
+	rec := sl.view.Load().rec
+	// The stream starts at the area's first observe. A stats update may
+	// have moved the area's break-even interval since the stream last
+	// ran; the moments are only meaningful at one B, so the stream
+	// restarts against the new interval.
+	if sl.tr == nil || sl.tr.B() != rec.state.B {
+		tr, err := s.cfg.Retune.newStream(rec.state.B)
 		if err != nil {
 			return nil, &APIError{Code: "internal", Message: err.Error(), Status: http.StatusInternalServerError}
 		}
-		o.tr = tr
+		sl.tr = tr
 	}
-	if !o.tr.Admits(req.StopSec) {
+	if !sl.tr.Admits(req.StopSec) {
 		return nil, &APIError{Code: "bad_request", Message: fmt.Sprintf("stop_sec = %v overflows area %s's running statistics at b = %v", req.StopSec, rec.state.ID, rec.state.B), Status: http.StatusBadRequest}
 	}
 
@@ -176,7 +139,7 @@ func (s *Server) observe(ctx context.Context, req ObserveRequest, sp *obs.Span) 
 		}
 	}
 
-	up, err := o.tr.Observe(req.StopSec)
+	up, err := sl.tr.Observe(req.StopSec)
 	if err != nil {
 		return nil, &APIError{Code: "bad_request", Message: err.Error(), Status: http.StatusBadRequest}
 	}
@@ -205,8 +168,8 @@ func (s *Server) observe(ctx context.Context, req ObserveRequest, sp *obs.Span) 
 	if up.Alarm {
 		resp.Alarm = true
 		s.series.alarms.get().Inc()
-		if up.Warm && !s.observers.cfg.Disabled {
-			def, uerr := s.cache.Update(rec.state.ID, 0, up.Stats)
+		if up.Warm && !s.cfg.Retune.Disabled {
+			def, uerr := s.cache.updateLocked(sl, 0, up.Stats)
 			if uerr != nil {
 				// The estimates are feasible by construction, so a
 				// rejection here is validation drift worth counting,
@@ -262,7 +225,7 @@ func (s *Server) observe(ctx context.Context, req ObserveRequest, sp *obs.Span) 
 			Area:         rec.state.ID,
 			Seq:          up.Seen,
 			B:            rec.state.B,
-			Forgetting:   s.observers.cfg.Forgetting,
+			Forgetting:   s.cfg.Retune.Forgetting,
 			StopSec:      req.StopSec,
 			PrevW:        up.PrevWSum,
 			PrevMuSum:    up.PrevMuSum,

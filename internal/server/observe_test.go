@@ -204,9 +204,9 @@ func TestObserveRetuneDisabled(t *testing.T) {
 func TestObserveStreamResetsOnBChange(t *testing.T) {
 	s, ts := newTestServer(t, nil)
 	driveSteady(t, ts.URL, "chicago", 5)
-	rec, _ := s.cache.Area("chicago")
+	v, _ := s.cache.view("chicago")
 	if _, err := s.cache.Update("chicago", 35,
-		skirental.Stats{MuBMinus: rec.state.Mu, QBPlus: rec.state.Q}); err != nil {
+		skirental.Stats{MuBMinus: v.rec.state.Mu, QBPlus: v.rec.state.Q}); err != nil {
 		t.Fatal(err)
 	}
 	var resp ObserveResponse

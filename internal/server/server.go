@@ -169,21 +169,21 @@ func (c Config) withDefaults() Config {
 	if c.HistoryWindow <= 0 {
 		c.HistoryWindow = 120
 	}
+	c.Retune = c.Retune.withDefaults()
 	return c
 }
 
 // Server is one idled instance: the strategy cache, the HTTP handler
 // tree and the serving lifecycle.
 type Server struct {
-	cfg       Config
-	cache     *Cache
-	observers *observerSet
-	engine    policy.Engine
-	ledger    *ledger.Ledger
-	rec       *obs.Recorder
-	inflight  chan struct{}
-	start     time.Time
-	handler   http.Handler
+	cfg      Config
+	cache    *Cache
+	engine   policy.Engine
+	ledger   *ledger.Ledger
+	rec      *obs.Recorder
+	inflight chan struct{}
+	start    time.Time
+	handler  http.Handler
 
 	// tracer/auditW are the request-forensics sinks (nil when the
 	// corresponding Config writer is nil); sampler backs /v1/history.
@@ -234,24 +234,24 @@ func New(cfg Config) (*Server, error) {
 			areas[i] = a.AreaState
 		}
 	}
-	cache, err := NewCache(areas, []policy.Engine{eng})
-	if err != nil {
-		return nil, err
+	// Streams start at each area's first observe; a configuration no
+	// stream could run is refused here, before the server serves.
+	if _, err := cfg.Retune.newStream(1); err != nil {
+		return nil, fmt.Errorf("server: retune: %w", err)
 	}
-	observers, err := newObserverSet(cfg.Retune, cache.Areas())
+	cache, err := NewCache(areas, []policy.Engine{eng})
 	if err != nil {
 		return nil, err
 	}
 	reg := cfg.Recorder.Registry()
 	s := &Server{
-		cfg:       cfg,
-		cache:     cache,
-		observers: observers,
-		engine:    eng,
-		ledger:    ledger.New(cfg.Ledger),
-		rec:       cfg.Recorder,
-		inflight:  make(chan struct{}, cfg.MaxInflight),
-		start:     time.Now(),
+		cfg:      cfg,
+		cache:    cache,
+		engine:   eng,
+		ledger:   ledger.New(cfg.Ledger),
+		rec:      cfg.Recorder,
+		inflight: make(chan struct{}, cfg.MaxInflight),
+		start:    time.Now(),
 		decideTotal: obs.NewSeries(func(choice string) *obs.Counter {
 			return reg.Counter(obs.L("decide_total", "choice", choice))
 		}),

@@ -183,29 +183,12 @@ func trailingJSON(dec *json.Decoder) error {
 }
 
 // StatePlane captures the server's current state plane: every area's
-// statistics, version, and observation stream. Each area's record is
-// read from its current view and each tracker under its observer lock,
-// so the capture is consistent per area (the unit of restore) without
-// stopping the world.
+// statistics, version, and observation stream. Each area's record and
+// stream are read together under the area's slot lock, which an
+// observe holds through its re-tune, so the capture is consistent per
+// area (the unit of restore) without stopping the world.
 func (s *Server) StatePlane() StatePlane {
-	recs := s.cache.Areas()
-	p := StatePlane{
-		TakenUnixMS: time.Now().UnixMilli(),
-		Areas:       make([]AreaSnapshot, 0, len(recs)),
-	}
-	for _, rec := range recs {
-		entry := AreaSnapshot{AreaState: rec.state, Version: rec.version}
-		if o, ok := s.observers.get(rec.state.ID); ok {
-			o.mu.Lock()
-			// A tracker left at a stale break-even interval restarts on
-			// the next observation anyway; snapshot that as "no stream".
-			if o.tr.B() == rec.state.B {
-				entry.Tracker = o.tr.State()
-			}
-			o.mu.Unlock()
-		}
-		p.Areas = append(p.Areas, entry)
-	}
+	p := StatePlane{TakenUnixMS: time.Now().UnixMilli(), Areas: s.cache.snapshot()}
 	if st := s.ledger.State(); !st.Empty() {
 		p.Ledger = &st
 	}
@@ -213,15 +196,11 @@ func (s *Server) StatePlane() StatePlane {
 }
 
 // restoreState applies a validated state plane to the live server:
-// the strategy cache publishes a new view per named area (all-or-
-// nothing validation first) and each area's observation stream is
-// rebuilt from its tracker state. Areas absent from the snapshot keep
-// their current state.
+// each named area's view and observation stream are rebuilt and
+// swapped in together (all-or-nothing validation first). Areas absent
+// from the snapshot keep their current state.
 func (s *Server) restoreState(p StatePlane) error {
-	if err := s.cache.Restore(p.Areas); err != nil {
-		return err
-	}
-	if err := s.restoreTrackers(p); err != nil {
+	if err := s.cache.Restore(p.Areas, s.cfg.Retune); err != nil {
 		return err
 	}
 	// The ledger resumes where the donor left off; a snapshot without a
@@ -233,29 +212,6 @@ func (s *Server) restoreState(p StatePlane) error {
 	}
 	if err := s.ledger.Restore(lst); err != nil {
 		return fmt.Errorf("server: restore: %w", err)
-	}
-	return nil
-}
-
-// restoreTrackers rebuilds the observation streams from a snapshot.
-// The cache restore has already published the snapshot's (B, mu, q),
-// so each tracker is rebuilt at its area's restored break-even.
-func (s *Server) restoreTrackers(p StatePlane) error {
-	for _, a := range p.Areas {
-		o, ok := s.observers.get(a.ID)
-		if !ok {
-			continue
-		}
-		tr, err := adaptive.NewTracker(s.observers.cfg.streamConfig(a.B))
-		if err != nil {
-			return fmt.Errorf("server: restore: area %s: %w", a.ID, err)
-		}
-		if err := tr.RestoreState(a.Tracker); err != nil {
-			return fmt.Errorf("server: restore: area %s: %w", a.ID, err)
-		}
-		o.mu.Lock()
-		o.tr = tr
-		o.mu.Unlock()
 	}
 	return nil
 }

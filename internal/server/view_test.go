@@ -183,8 +183,8 @@ func TestCacheUpdateIsolated(t *testing.T) {
 			before := c.views()
 			switch tc.op {
 			case "update":
-				rec, _ := c.Area(tc.named[0])
-				if _, err := c.Update(tc.named[0], 0, skirental.Stats{MuBMinus: rec.state.Mu + 0.5, QBPlus: rec.state.Q}); err != nil {
+				v, _ := c.view(tc.named[0])
+				if _, err := c.Update(tc.named[0], 0, skirental.Stats{MuBMinus: v.rec.state.Mu + 0.5, QBPlus: v.rec.state.Q}); err != nil {
 					t.Fatal(err)
 				}
 			case "fill":
@@ -195,10 +195,10 @@ func TestCacheUpdateIsolated(t *testing.T) {
 			case "restore":
 				var entries []AreaSnapshot
 				for _, id := range tc.named {
-					rec, _ := c.Area(id)
-					entries = append(entries, AreaSnapshot{AreaState: rec.state, Version: rec.version + 10})
+					v, _ := c.view(id)
+					entries = append(entries, AreaSnapshot{AreaState: v.rec.state, Version: v.rec.version + 10})
 				}
-				if err := c.Restore(entries); err != nil {
+				if err := c.Restore(entries, RetuneConfig{}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -303,8 +303,8 @@ func TestCacheCostIndependentOfAreaCount(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec, _ := c.Area("chicago")
-		stats := []skirental.Stats{rec.state.Stats(), {MuBMinus: rec.state.Mu, QBPlus: rec.state.Q * 0.9}}
+		v, _ := c.view("chicago")
+		stats := []skirental.Stats{v.rec.state.Stats(), {MuBMinus: v.rec.state.Mu, QBPlus: v.rec.state.Q * 0.9}}
 		i := 0
 		step := func() {
 			i++
