@@ -10,16 +10,14 @@ FUZZTIME ?= 10s
 STATICCHECK_VERSION ?= 2025.1.1
 
 .PHONY: check ci build vet test race race-stress fmt-check perfbench perfbench-smoke staticcheck cover \
-	fuzz-smoke bench-smoke bench bench-metrics bench-parallel \
-	bench-capture bench-compare bench-gate loadtest-gate loadtest-bless \
-	loc clean
+	fuzz-smoke bench-smoke bench-capture bench-compare bench-gate loc clean
 
 ## check: the full pre-commit gate — identical to CI (vet, fmt, build,
-## test, race, fuzz smoke, staticcheck).
+## test, race, benchmarks once, fuzz smoke, staticcheck, bench gate).
 check: ci
 
 ## ci: mirror of the GitHub workflow jobs, step for step.
-ci: vet fmt-check build test race race-stress perfbench perfbench-smoke fuzz-smoke staticcheck bench-gate loadtest-gate
+ci: vet fmt-check build test race race-stress perfbench perfbench-smoke bench-smoke fuzz-smoke staticcheck bench-gate
 
 build:
 	$(GO) build ./...
@@ -36,15 +34,17 @@ race:
 	$(GO) test -race -shuffle=on ./...
 
 ## race-stress: the registry, sampler and JSONL sink tests, the
-## request decoder's pooled buffers, and the per-area slot lock (an
-## observe storm racing stats updates, and one racing snapshots), under
-## the race detector ten times over. Several goroutines reach that
-## state at once (counter creation beside family sums, writers racing
-## Close, buffers passing between requests, an observe's re-tune beside
-## a stats update or a snapshot of the same area), and a single -race
-## pass rarely hits the risky interleavings.
+## ledger's one-cut state captures, the request decoder's pooled
+## buffers, and the per-area slot lock (an observe storm racing stats
+## updates, and one racing snapshots), under the race detector ten
+## times over. Several goroutines reach that state at once (counter
+## creation beside family sums, writers racing Close, settles beside a
+## ledger capture, buffers passing between requests, an observe's
+## re-tune beside a stats update or a snapshot of the same area), and a
+## single -race pass rarely hits the risky interleavings.
 race-stress:
 	$(GO) test -race -count=10 -run 'Registry|SumCounter|Sampler|JSONL|Rotating' ./internal/obs
+	$(GO) test -race -count=10 -run 'StateIsOneCut' ./internal/ledger
 	$(GO) test -race -count=10 -run 'DecodeConcurrent|ObserveRacingStatsUpdate|SnapshotDuringObserveStorm' ./internal/server
 
 ## perfbench: vet and test the benchmark module. It is a nested Go
@@ -109,34 +109,12 @@ fuzz-smoke:
 		done; \
 	done
 
-## bench-smoke: one fast iteration-bounded pass over every benchmark,
-## plus the instrumented-simulator metrics snapshot (bench-metrics.json)
-## CI uploads for the perf trajectory.
+## bench-smoke: every Go benchmark in the module for one iteration, so
+## a benchmark whose code stopped compiling or started failing breaks
+## the build. It measures nothing; the perf trajectory is bench-gate's
+## and the end-to-end numbers are perfbench's.
 bench-smoke:
-	$(GO) test -bench . -benchtime 100x -run '^$$' . | tee bench-smoke.txt
-	IDLEREDUCE_BENCH_METRICS=$(CURDIR)/bench-metrics.json \
-		$(GO) test -bench 'BenchmarkSimulatorObs' -benchtime 100x -run '^$$' .
-	@echo wrote bench-smoke.txt bench-metrics.json
-
-## bench: every table/figure benchmark plus the ablations and the
-## observability overhead pair (SimulatorObsOff vs SimulatorObsOn).
-bench:
-	$(GO) test -bench . -benchmem -run '^$$' .
-
-## bench-metrics: run the instrumented simulator benchmark and write its
-## metrics registry snapshot to bench-metrics.json (see
-## docs/OBSERVABILITY.md).
-bench-metrics:
-	IDLEREDUCE_BENCH_METRICS=$(CURDIR)/bench-metrics.json \
-		$(GO) test -bench 'BenchmarkSimulatorObs' -run '^$$' .
-	@echo wrote bench-metrics.json
-
-## bench-parallel: the serial-vs-pooled pairs over the engine's fan-out
-## sites (fleet generation, grid fill, fleet evaluation, traffic sweep);
-## compare each <name>/serial line against <name>/pool (see
-## docs/PARALLELISM.md).
-bench-parallel:
-	$(GO) test -bench 'BenchmarkParallel' -benchmem -run '^$$' .
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # The perf trajectory (docs/BENCHMARKS.md): BENCH_BASELINE is the
 # newest committed BENCH_NNNN.json; the head capture is written to
@@ -172,27 +150,6 @@ else
 	$(MAKE) bench-compare
 endif
 
-# The macro loadtest gate (docs/SERVER.md): a fixed 100k-area mixed
-# decide/observe scenario measured in-process and compared against the
-# committed LOADTEST_BASELINE.json — p99 (speed-canary normalized),
-# cache hit-rate, and the CUSUM retune loop actually firing.
-LOADTEST_BASELINE ?= LOADTEST_BASELINE.json
-
-## loadtest-gate: run the committed load scenario and gate against
-## $(LOADTEST_BASELINE). Skips gracefully (with a visible note) when no
-## baseline is committed, so forks and fresh branches are not blocked.
-loadtest-gate:
-ifeq ($(wildcard $(LOADTEST_BASELINE)),)
-	@echo "loadtest-gate: no committed $(LOADTEST_BASELINE); skipping"
-else
-	$(GO) run ./cmd/idled loadgate -baseline $(LOADTEST_BASELINE)
-endif
-
-## loadtest-bless: re-measure the committed scenario on this machine and
-## overwrite $(LOADTEST_BASELINE) (commit the result deliberately).
-loadtest-bless:
-	$(GO) run ./cmd/idled loadgate -baseline $(LOADTEST_BASELINE) -bless
-
 ## loc: non-test Go lines per package and their total, the LoC delta
 ## CHANGES.md records (not part of ci). Run it at two commits and
 ## compare.
@@ -204,5 +161,4 @@ loc:
 	done | awk '{ print; total += $$1 } END { printf "%7d total\n", total }'
 
 clean:
-	rm -f bench-metrics.json bench-smoke.txt coverage.out cpu.pprof mem.pprof trace.out \
-		$(BENCH_HEAD)
+	rm -f coverage.out cpu.pprof mem.pprof trace.out $(BENCH_HEAD)

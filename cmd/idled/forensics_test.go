@@ -127,7 +127,7 @@ func decodeBody(resp *http.Response, out any) error {
 }
 
 // TestLoadtestOutSnapshot checks -out writes the harness registry in
-// the bench-metrics snapshot schema.
+// the obs snapshot schema.
 func TestLoadtestOutSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	outPath := filepath.Join(dir, "report.json")

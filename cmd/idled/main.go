@@ -19,8 +19,6 @@
 //	               [-synthetic-areas N] [-observe F] [-miss F]
 //	               [-hot N] [-settle F] [-json] [-out report.json]
 //	               [-profile cpu|heap] [-profile-out FILE]
-//	idled loadgate [-baseline FILE] [-bless] [-areas N] [-clients N]
-//	               [-requests N] [-batch N] [-json]
 //	idled top      [-target URL] [-interval D] [-frames N] [-once] [-w N]
 //	idled areas-template
 //
@@ -48,16 +46,12 @@
 // competitive-ratio join on a fraction of slots (ledger-opted decides
 // settled back via decision_id observes, with a deterministic sprinkle
 // of corrupted ids proving the fail-closed path); -out additionally
-// writes the
-// registry snapshot as JSON (the bench-metrics schema, readable by
-// `idlectl stats`), and -profile captures a cpu or heap profile of the
-// run to -profile-out. loadgate runs the committed 100k-area mixed
-// decide/observe scenario and gates its p99 latency, cache hit-rate
-// and re-tune loop against LOADTEST_BASELINE.json (noise-aware via the
-// speed canary; -bless re-blesses the baseline on this machine).
-// top renders a live terminal dashboard from the target's
-// /v1/history time series. areas-template prints the default -areas
-// config (the three paper areas at B = 28 s) as editable JSON.
+// writes the registry snapshot as JSON (the obs snapshot schema,
+// readable by `idlectl stats`), and -profile captures a cpu or heap
+// profile of the run to -profile-out. top renders a live terminal
+// dashboard from the target's /v1/history time series. areas-template
+// prints the default -areas config (the three paper areas at B = 28 s)
+// as editable JSON.
 package main
 
 import (
@@ -74,7 +68,6 @@ import (
 	"time"
 
 	"idlereduce/internal/obs"
-	"idlereduce/internal/perf"
 	"idlereduce/internal/server"
 )
 
@@ -87,7 +80,7 @@ func main() {
 	}
 }
 
-const usage = "usage: idled <serve|loadtest|loadgate|top|areas-template> [flags]"
+const usage = "usage: idled <serve|loadtest|top|areas-template> [flags]"
 
 func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if len(args) < 1 {
@@ -98,8 +91,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		return serve(ctx, args[1:], stdout)
 	case "loadtest":
 		return loadtest(ctx, args[1:], stdout)
-	case "loadgate":
-		return loadgate(ctx, args[1:], stdout)
 	case "top":
 		return top(ctx, args[1:], stdout)
 	case "areas-template":
@@ -109,7 +100,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		}
 		return server.WriteAreaStates(stdout, areas)
 	default:
-		return fmt.Errorf("unknown command %q (want serve, loadtest, loadgate, top or areas-template)\n%s", args[0], usage)
+		return fmt.Errorf("unknown command %q (want serve, loadtest, top or areas-template)\n%s", args[0], usage)
 	}
 }
 
@@ -412,81 +403,4 @@ func loadtest(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 	_, err = io.WriteString(stdout, report.String())
 	return err
-}
-
-// loadgate runs the committed mixed decide/observe scenario and gates
-// it against LOADTEST_BASELINE.json (or re-blesses the baseline).
-func loadgate(ctx context.Context, args []string, stdout io.Writer) error {
-	fs := flag.NewFlagSet("idled loadgate", flag.ContinueOnError)
-	baselinePath := fs.String("baseline", "LOADTEST_BASELINE.json", "committed baseline to gate against (or write with -bless)")
-	bless := fs.Bool("bless", false, "measure and write a fresh baseline instead of gating")
-	areaCount := fs.Int("areas", 0, "override the scenario's synthetic area count (gating requires it to match the baseline)")
-	clients := fs.Int("clients", 0, "override the scenario's client count")
-	requests := fs.Int("requests", 0, "override the scenario's requests per client")
-	batch := fs.Int("batch", 0, "override the scenario's batch size")
-	jsonOut := fs.Bool("json", false, "emit the gate result as JSON instead of text")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if fs.NArg() != 0 {
-		fs.Usage()
-		return fmt.Errorf("unexpected arguments: %v", fs.Args())
-	}
-	scn := perf.DefaultLoadScenario()
-	if *areaCount > 0 {
-		scn.Areas = *areaCount
-	}
-	if *clients > 0 {
-		scn.Clients = *clients
-	}
-	if *requests > 0 {
-		scn.Requests = *requests
-	}
-	if *batch > 0 {
-		scn.Batch = *batch
-	}
-	var base perf.LoadBaseline
-	if !*bless {
-		var err error
-		if base, err = perf.ReadLoadBaseline(*baselinePath); err != nil {
-			return err
-		}
-		// The scenario overrides exist for local iteration; a gate run
-		// must measure exactly what the baseline blessed.
-		if base.Scenario != scn {
-			return fmt.Errorf("baseline %s was blessed for scenario %+v, this run is %+v", *baselinePath, base.Scenario, scn)
-		}
-	}
-	fmt.Fprintf(stdout, "loadgate: running %d-area mixed scenario (%d clients x %d requests x batch %d, %.0f%% observe)\n",
-		scn.Areas, scn.Clients, scn.Requests, scn.Batch, scn.ObserveFraction*100)
-	report, err := perf.RunLoadScenario(ctx, scn)
-	if err != nil {
-		return err
-	}
-	_, err = io.WriteString(stdout, report.String())
-	if err != nil {
-		return err
-	}
-	if *bless {
-		b := perf.NewLoadBaseline(scn, report)
-		if err := b.WriteFile(*baselinePath); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "loadgate: blessed baseline -> %s\n", *baselinePath)
-		return nil
-	}
-	res := perf.GateLoad(base, report, perf.MeasureCanary())
-	if *jsonOut {
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(res); err != nil {
-			return err
-		}
-	} else if _, err := io.WriteString(stdout, res.String()); err != nil {
-		return err
-	}
-	if !res.OK {
-		return fmt.Errorf("loadtest gate failed against %s", *baselinePath)
-	}
-	return nil
 }

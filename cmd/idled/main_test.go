@@ -43,6 +43,29 @@ func TestRunUsageErrors(t *testing.T) {
 	}
 }
 
+// TestServeRefusesNonFiniteRetune: a re-tune flag at NaN or +Inf fails
+// idled serve before it listens; the deadline only bounds a daemon that
+// wrongly started.
+func TestServeRefusesNonFiniteRetune(t *testing.T) {
+	for _, flagValue := range [][]string{
+		{"-forgetting", "NaN"}, {"-forgetting", "+Inf"},
+		{"-drift-threshold", "NaN"}, {"-drift-threshold", "+Inf"},
+	} {
+		t.Run(strings.Join(flagValue, "="), func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			var out bytes.Buffer
+			err := run(ctx, append([]string{"serve", "-addr", "127.0.0.1:0"}, flagValue...), &out)
+			if err == nil || !strings.Contains(err.Error(), "invalid config") {
+				t.Errorf("serve %v: err = %v, want an invalid config refusal", flagValue, err)
+			}
+			if strings.Contains(out.String(), "serving") {
+				t.Errorf("serve %v started serving: %s", flagValue, out.String())
+			}
+		})
+	}
+}
+
 func TestAreasTemplateRoundTrips(t *testing.T) {
 	var out bytes.Buffer
 	if err := run(context.Background(), []string{"areas-template"}, &out); err != nil {

@@ -41,8 +41,14 @@ type Config struct {
 // ErrConfig reports an invalid configuration.
 var ErrConfig = errors.New("adaptive: invalid config")
 
+// positiveFinite reports whether x is a positive finite number. NaN
+// fails it, where a bare x <= 0 test lets NaN through.
+func positiveFinite(x float64) bool {
+	return x > 0 && !math.IsInf(x, 1)
+}
+
 func (c *Config) fill() error {
-	if c.B <= 0 || math.IsNaN(c.B) {
+	if !positiveFinite(c.B) {
 		return fmt.Errorf("%w: B = %v", ErrConfig, c.B)
 	}
 	if c.Warmup == 0 {
@@ -54,7 +60,7 @@ func (c *Config) fill() error {
 	if c.Forgetting == 0 {
 		c.Forgetting = 1
 	}
-	if c.Forgetting <= 0 || c.Forgetting > 1 {
+	if !(c.Forgetting > 0 && c.Forgetting <= 1) {
 		return fmt.Errorf("%w: forgetting %v", ErrConfig, c.Forgetting)
 	}
 	return nil

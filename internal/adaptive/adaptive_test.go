@@ -16,9 +16,12 @@ func TestConfigValidation(t *testing.T) {
 		{B: 0},
 		{B: -1},
 		{B: math.NaN()},
+		{B: math.Inf(1)},
 		{B: 28, Warmup: -5},
 		{B: 28, Forgetting: -0.5},
 		{B: 28, Forgetting: 1.5},
+		{B: 28, Forgetting: math.NaN()},
+		{B: 28, Forgetting: math.Inf(1)},
 	}
 	for _, c := range cases {
 		if _, err := New(c); !errors.Is(err, ErrConfig) {

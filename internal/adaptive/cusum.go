@@ -34,7 +34,7 @@ func (c *DriftConfig) fill() error {
 	if c.Warmup == 0 {
 		c.Warmup = 50
 	}
-	if c.Threshold <= 0 || c.Slack <= 0 || c.Warmup < 2 {
+	if !positiveFinite(c.Threshold) || !positiveFinite(c.Slack) || c.Warmup < 2 {
 		return fmt.Errorf("%w: drift config %+v", ErrConfig, *c)
 	}
 	return nil

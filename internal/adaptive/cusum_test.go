@@ -15,6 +15,14 @@ func TestDriftConfigValidation(t *testing.T) {
 	if _, err := NewDetector(DriftConfig{Warmup: 1}); !errors.Is(err, ErrConfig) {
 		t.Error("want ErrConfig for warmup 1")
 	}
+	// NaN passes a bare x <= 0 test; an infinite threshold never alarms.
+	for _, v := range []float64{math.NaN(), math.Inf(1)} {
+		for _, c := range []DriftConfig{{Threshold: v}, {Slack: v}} {
+			if _, err := NewDetector(c); !errors.Is(err, ErrConfig) {
+				t.Errorf("%+v: want ErrConfig, got %v", c, err)
+			}
+		}
+	}
 	d, err := NewDetector(DriftConfig{})
 	if err != nil {
 		t.Fatal(err)

@@ -29,13 +29,13 @@ type StreamConfig struct {
 }
 
 func (c *StreamConfig) fill() error {
-	if c.B <= 0 || math.IsNaN(c.B) || math.IsInf(c.B, 0) {
+	if !positiveFinite(c.B) {
 		return fmt.Errorf("%w: B = %v", ErrConfig, c.B)
 	}
 	if c.Forgetting == 0 {
 		c.Forgetting = 1
 	}
-	if c.Forgetting <= 0 || c.Forgetting > 1 {
+	if !(c.Forgetting > 0 && c.Forgetting <= 1) {
 		return fmt.Errorf("%w: forgetting %v", ErrConfig, c.Forgetting)
 	}
 	if c.MinObservations == 0 {
@@ -257,16 +257,23 @@ func (t *Tracker) Observe(y float64) (StreamUpdate, error) {
 }
 
 // Admits reports whether Observe accepts y: a finite non-negative stop
-// length that keeps every moment sum finite (at a break-even interval
-// near float64's limit, a stop of that length overflows the sums). A
-// caller that commits elsewhere before the stream absorbs y checks it
-// first.
+// length that keeps every moment sum and the drift detector's state
+// finite. At a break-even interval near float64's limit a stop of that
+// length overflows the sums, and once B passes ~1.34e154 s the squared
+// deviation of a capped stop can overflow the detector's running sum.
+// A caller that commits elsewhere before the stream absorbs y checks
+// it first.
 func (t *Tracker) Admits(y float64) bool {
 	if y < 0 || math.IsNaN(y) || math.IsInf(y, 0) {
 		return false
 	}
 	w, mu, q := StepMoments(t.state.WSum, t.state.MuSum, t.state.QSum, t.cfg.Forgetting, t.cfg.B, y)
-	return !math.IsInf(w, 0) && !math.IsInf(mu, 0) && !math.IsInf(q, 0)
+	if math.IsInf(w, 0) || math.IsInf(mu, 0) || math.IsInf(q, 0) {
+		return false
+	}
+	det := *t.det // a copy: observing it leaves the stream untouched
+	det.Observe(math.Min(y, t.cfg.B))
+	return det.State().Validate() == nil
 }
 
 // ResetMoments clears the moment estimates (a post-re-tune restart for

@@ -1,6 +1,7 @@
 package adaptive
 
 import (
+	"errors"
 	"math"
 	"testing"
 )
@@ -19,9 +20,14 @@ func TestStreamConfigValidates(t *testing.T) {
 		{B: 0},
 		{B: -1},
 		{B: math.NaN()},
+		{B: math.Inf(1)},
 		{B: 28, Forgetting: -0.5},
 		{B: 28, Forgetting: 1.5},
+		{B: 28, Forgetting: math.NaN()},
+		{B: 28, Forgetting: math.Inf(1)},
 		{B: 28, MinObservations: -3},
+		{B: 28, Drift: DriftConfig{Threshold: math.NaN()}},
+		{B: 28, Drift: DriftConfig{Slack: math.NaN()}},
 	}
 	for _, cfg := range bad {
 		if _, err := NewTracker(cfg); err == nil {
@@ -30,6 +36,30 @@ func TestStreamConfigValidates(t *testing.T) {
 	}
 	if _, err := NewTracker(StreamConfig{B: 28}); err != nil {
 		t.Fatalf("default config rejected: %v", err)
+	}
+}
+
+// TestTrackerRefusesDetectorOverflow: at B = 1e300 the moment sums
+// hold a 1e300-s stop and a 0-s stop, but the detector's sum of squared
+// deviations cannot; the second stop is refused and the stream, which
+// must stay snapshottable, is left as it was.
+func TestTrackerRefusesDetectorOverflow(t *testing.T) {
+	tr := newTestTracker(t, StreamConfig{B: 1e300})
+	if _, err := tr.Observe(1e300); err != nil {
+		t.Fatal(err)
+	}
+	before := tr.State()
+	if tr.Admits(0) {
+		t.Error("Admits(0) after a 1e300-s stop, want a refusal")
+	}
+	if _, err := tr.Observe(0); !errors.Is(err, ErrConfig) {
+		t.Errorf("Observe(0): %v, want ErrConfig", err)
+	}
+	if after := tr.State(); after != before {
+		t.Errorf("refused stop moved the stream: %+v, was %+v", after, before)
+	}
+	if err := tr.State().Validate(); err != nil {
+		t.Errorf("stream state does not validate: %v", err)
 	}
 }
 

@@ -18,15 +18,16 @@
 // band against the engine's published worst-case bound and trips after
 // a configurable run of confidently-violating windows.
 //
-// Every number the ledger reports is finite. A CR that float64 cannot
-// hold reads as math.MaxFloat64: the mean optimal cost underflows
-// against the mean online cost (a settle at a subnormal stop: TOI's
-// restart B over a 5e-324 s stop), or a running cost sum overflowed,
-// which also saturates that mean cost. A band that float64 cannot hold
-// (its moments underflow, as for stops below ~1e-154 s, or overflow)
-// reads as not estimable, as a band of fewer than two effective
-// samples does. Every CR and band inside float64's range is computed
-// exactly as the formulas above say.
+// Every number the ledger holds and reports is finite. A settle whose
+// costs would carry any running sum of its accumulator past float64's
+// range (a squared online cost past ~1.34e154) is refused and its
+// entry stays pending. A CR that float64 cannot hold reads as
+// math.MaxFloat64: the mean optimal cost underflows against the mean
+// online cost (a settle at a subnormal stop: TOI's restart B over a
+// 5e-324 s stop). A band that float64 cannot hold (its moments
+// underflow, as for stops below ~1e-154 s) reads as not estimable, as
+// a band of fewer than two effective samples does. Every CR and band
+// inside float64's range is computed exactly as the formulas above say.
 //
 // The package is deliberately clock-free: callers pass wall times in,
 // every transition is a pure function of its inputs, and the full
@@ -41,7 +42,6 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"idlereduce/internal/skirental"
 )
@@ -155,6 +155,14 @@ type Key struct {
 	Engine string
 }
 
+// less orders keys by area, then engine: the order of the CR table.
+func (k Key) less(o Key) bool {
+	if k.Area != o.Area {
+		return k.Area < o.Area
+	}
+	return k.Engine < o.Engine
+}
+
 // Outcome reports one successful settle.
 type Outcome struct {
 	// Pending is the entry that settled.
@@ -213,6 +221,18 @@ func (a *accum) add(g, online, opt float64) {
 	a.count++
 }
 
+// state is the serialized form of the accumulator under key k.
+func (a *accum) state(k Key) AccumState {
+	return AccumState{
+		Area: k.Area, Engine: k.Engine,
+		W: a.w, W2: a.w2,
+		SumOn: a.sumOn, SumOp: a.sumOp,
+		SumOn2: a.sumOn2, SumOp2: a.sumOp2, SumX: a.sumX,
+		Count: a.count, Bound: a.bound,
+		Windows: a.windowCount, Streak: a.streak, Breaches: a.breaches,
+	}
+}
+
 // ratio returns the empirical CR (ratio of weighted means) and the
 // delta-method variance-band half-width z·sqrt(Var[CR]), under the
 // package's finiteness rule: a CR float64 cannot hold reads as
@@ -246,33 +266,24 @@ func (a *accum) ratio(z float64) (cr, band float64) {
 	return cr, band
 }
 
-// saturate reads a mean cost float64 cannot hold as math.MaxFloat64.
-func saturate(x float64) float64 {
-	if math.IsInf(x, 1) {
-		return math.MaxFloat64
-	}
-	return x
-}
-
 // Ledger is the decision-outcome join plane. Pending decisions live
-// in one table under mu: an id-keyed map plus the issue-ordered id
-// list that FIFO eviction and expiry walk. Settled ids move into a
-// bounded ring so a duplicate settle is distinguishable from an
-// unknown one.
+// in one table: an id-keyed map plus the issue-ordered id list that
+// FIFO eviction and expiry walk. Settled ids move into a bounded ring
+// so a duplicate settle is distinguishable from an unknown one. The
+// table, the ring, the accumulators and the counters share one mutex,
+// so a settle moves an id from the table to the ring and its outcome
+// into an accumulator in one step, and State is one consistent cut.
 type Ledger struct {
 	cfg Config
 
-	mu      sync.Mutex
-	entries map[string]Pending
-	order   []string // issue order; may contain ids no longer in entries
-	head    int
-	done    map[string]bool // the ids in ring
-	ring    []string        // settled-id ring, oldest first
-
-	accMu  sync.Mutex
-	accums map[Key]*accum
-
-	issued, settled, orphaned, expired, breaches atomic.Uint64
+	mu       sync.Mutex
+	entries  map[string]Pending
+	order    []string // issue order; may contain ids no longer in entries
+	head     int
+	done     map[string]bool // the ids in ring
+	ring     []string        // settled-id ring, oldest first
+	accums   map[Key]*accum
+	counters Counters
 }
 
 // New builds a ledger.
@@ -299,17 +310,14 @@ func (l *Ledger) Issue(p Pending) (int, error) {
 	}
 	l.entries[p.ID] = p
 	l.order = append(l.order, p.ID)
-	l.issued.Add(1)
-	evicted := l.expireLocked(p.IssuedUnixMS-l.cfg.TTLMS, l.cfg.Capacity)
-	if evicted > 0 {
-		l.expired.Add(uint64(evicted))
-	}
-	return evicted, nil
+	l.counters.Issued++
+	return l.expireLocked(p.IssuedUnixMS-l.cfg.TTLMS, l.cfg.Capacity), nil
 }
 
 // expireLocked drops pending entries issued at or before cutoffMS and,
-// when capacity > 0, evicts oldest entries until the table fits. It
-// also compacts the consumed head of the order list.
+// when capacity > 0, evicts oldest entries until the table fits,
+// counting each as expired. It also compacts the consumed head of the
+// order list.
 func (l *Ledger) expireLocked(cutoffMS int64, capacity int) int {
 	evicted := 0
 	for l.head < len(l.order) {
@@ -331,6 +339,7 @@ func (l *Ledger) expireLocked(cutoffMS int64, capacity int) int {
 		l.order = append(l.order[:0], l.order[l.head:]...)
 		l.head = 0
 	}
+	l.counters.Expired += uint64(evicted)
 	return evicted
 }
 
@@ -350,61 +359,63 @@ func (l *Ledger) rememberSettledLocked(id string) {
 // accumulator advanced. An id that was never issued (or was expired or
 // evicted) is ErrUnknownDecision; an id that already settled is
 // ErrDuplicateSettle. Both failure modes leave all state untouched
-// beyond the orphan counter; a stop whose online cost is not finite
-// leaves the entry pending.
+// beyond the orphan counter; a stop whose costs the accumulator cannot
+// hold (its next state would not validate: a running sum would leave
+// float64's range) leaves the entry pending, so the ledger's state
+// always validates.
 func (l *Ledger) Settle(id string, stopSec float64, nowMS int64) (Outcome, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	if id == "" {
-		l.orphaned.Add(1)
+		l.counters.Orphaned++
 		return Outcome{}, fmt.Errorf("%w: empty decision id", ErrUnknownDecision)
 	}
 	if stopSec < 0 || math.IsNaN(stopSec) || math.IsInf(stopSec, 0) {
 		return Outcome{}, fmt.Errorf("ledger: stop %v is not finite non-negative", stopSec)
 	}
-	l.mu.Lock()
 	p, ok := l.entries[id]
 	if !ok {
-		dup := l.done[id]
-		l.mu.Unlock()
-		if dup {
+		if l.done[id] {
 			return Outcome{}, fmt.Errorf("%w: decision %s already settled", ErrDuplicateSettle, id)
 		}
-		l.orphaned.Add(1)
+		l.counters.Orphaned++
 		return Outcome{}, fmt.Errorf("%w: decision %s is not pending", ErrUnknownDecision, id)
 	}
 	if nowMS-p.IssuedUnixMS > l.cfg.TTLMS {
 		// Settle-after-expiry: the entry outlived its join window; drop
 		// it now and report the settle as unknown.
 		delete(l.entries, id)
-		l.mu.Unlock()
-		l.expired.Add(1)
-		l.orphaned.Add(1)
+		l.counters.Expired++
+		l.counters.Orphaned++
 		return Outcome{}, fmt.Errorf("%w: decision %s expired before settling", ErrUnknownDecision, id)
 	}
 	online := skirental.OnlineCost(p.ThresholdSec, stopSec, p.B)
 	opt := skirental.OfflineCost(stopSec, p.B)
-	if math.IsInf(online, 0) {
-		// The threshold plus the restart overflow at a break-even
-		// interval near float64's limit; the entry stays pending.
-		l.mu.Unlock()
-		return Outcome{}, fmt.Errorf("ledger: stop %v settles decision %s at a cost that is not finite", stopSec, id)
+	key := Key{Area: p.Area, Engine: p.Engine}
+	a := l.accums[key]
+	var next accum
+	if a != nil {
+		next = *a
+	}
+	next.add(l.cfg.Forgetting, online, opt)
+	if err := next.state(key).validate(); err != nil {
+		// The threshold plus the restart, or a square or running sum of
+		// the costs, leaves float64's range at a break-even interval
+		// near its limit; the entry stays pending.
+		return Outcome{}, fmt.Errorf("ledger: stop %v cannot settle decision %s: %w", stopSec, id, err)
 	}
 	delete(l.entries, id)
 	l.rememberSettledLocked(id)
-	l.mu.Unlock()
+	if a == nil {
+		a = &accum{}
+		l.accums[key] = a
+	}
+	*a = next
 
 	// A clock stepped back, or an entry restored from a host whose
 	// clock ran ahead, can settle "before" its issue; the join latency
 	// floors at zero rather than going negative.
 	out := Outcome{Pending: p, Online: online, Opt: opt, JoinMS: max(0, nowMS-p.IssuedUnixMS)}
-
-	l.accMu.Lock()
-	key := Key{Area: p.Area, Engine: p.Engine}
-	a := l.accums[key]
-	if a == nil {
-		a = &accum{}
-		l.accums[key] = a
-	}
-	a.add(l.cfg.Forgetting, online, opt)
 	if p.Bound > 0 {
 		a.bound = p.Bound // latest published bound wins
 	}
@@ -420,15 +431,14 @@ func (l *Ledger) Settle(id string, stopSec float64, nowMS int64) (Outcome, error
 			if a.streak >= l.cfg.Patience {
 				a.streak = 0
 				a.breaches++
-				l.breaches.Add(1)
+				l.counters.Breaches++
 				out.Breach = true
 			}
 		} else {
 			a.streak = 0
 		}
 	}
-	l.accMu.Unlock()
-	l.settled.Add(1)
+	l.counters.Settled++
 	return out, nil
 }
 
@@ -436,12 +446,8 @@ func (l *Ledger) Settle(id string, stopSec float64, nowMS int64) (Outcome, error
 // window ended before nowMS. It returns the number dropped.
 func (l *Ledger) ExpireBefore(nowMS int64) int {
 	l.mu.Lock()
-	n := l.expireLocked(nowMS-l.cfg.TTLMS, 0)
-	l.mu.Unlock()
-	if n > 0 {
-		l.expired.Add(uint64(n))
-	}
-	return n
+	defer l.mu.Unlock()
+	return l.expireLocked(nowMS-l.cfg.TTLMS, 0)
 }
 
 // PendingCount returns the live pending-entry count.
@@ -453,13 +459,9 @@ func (l *Ledger) PendingCount() int {
 
 // Counters returns the monotone event counts.
 func (l *Ledger) Counters() Counters {
-	return Counters{
-		Issued:   l.issued.Load(),
-		Settled:  l.settled.Load(),
-		Orphaned: l.orphaned.Load(),
-		Expired:  l.expired.Load(),
-		Breaches: l.breaches.Load(),
-	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.counters
 }
 
 // Row is one {area, engine} line of the CR table.
@@ -486,7 +488,7 @@ type Row struct {
 
 // Rows renders the CR table, sorted by (area, engine).
 func (l *Ledger) Rows() []Row {
-	l.accMu.Lock()
+	l.mu.Lock()
 	rows := make([]Row, 0, len(l.accums))
 	for key, a := range l.accums {
 		cr, band := a.ratio(l.cfg.Band)
@@ -499,17 +501,14 @@ func (l *Ledger) Rows() []Row {
 			Bound: a.bound, Breaches: a.breaches,
 		}
 		if a.w > 0 {
-			r.MeanOnline = saturate(a.sumOn / a.w)
-			r.MeanOpt = saturate(a.sumOp / a.w)
+			r.MeanOnline = a.sumOn / a.w
+			r.MeanOpt = a.sumOp / a.w
 		}
 		rows = append(rows, r)
 	}
-	l.accMu.Unlock()
+	l.mu.Unlock()
 	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].Area != rows[j].Area {
-			return rows[i].Area < rows[j].Area
-		}
-		return rows[i].Engine < rows[j].Engine
+		return Key{rows[i].Area, rows[i].Engine}.less(Key{rows[j].Area, rows[j].Engine})
 	})
 	return rows
 }
@@ -557,6 +556,12 @@ func (a AccumState) validate() error {
 	}
 	if math.IsNaN(a.SumX) || math.IsInf(a.SumX, 0) {
 		return fmt.Errorf("ledger: accumulator %s/%s has non-finite cross moment", a.Area, a.Engine)
+	}
+	// An accumulator exists once an outcome settles into it, and every
+	// settle leaves the weight at one or more (w = g·w + 1), which keeps
+	// each mean cost, a running sum over the weight, finite.
+	if a.W < 1 {
+		return fmt.Errorf("ledger: accumulator %s/%s has weight %v below one", a.Area, a.Engine, a.W)
 	}
 	if a.Windows < 0 || a.Streak < 0 {
 		return fmt.Errorf("ledger: accumulator %s/%s has negative detector state", a.Area, a.Engine)
@@ -614,41 +619,28 @@ func (s State) Validate() error {
 }
 
 // State captures the full ledger state, pending entries in the order
-// they were issued.
+// they were issued. The capture is one cut: it holds no settle half
+// applied, so an id it lists as settled has its outcome counted in an
+// accumulator and in the counters.
 func (l *Ledger) State() State {
 	var st State
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	for _, id := range l.order[l.head:] {
 		if p, live := l.entries[id]; live {
 			st.Pending = append(st.Pending, p)
 		}
 	}
 	st.Settled = append(st.Settled, l.ring...)
-	l.mu.Unlock()
-	l.accMu.Lock()
 	keys := make([]Key, 0, len(l.accums))
 	for k := range l.accums {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Area != keys[j].Area {
-			return keys[i].Area < keys[j].Area
-		}
-		return keys[i].Engine < keys[j].Engine
-	})
+	sort.Slice(keys, func(i, j int) bool { return keys[i].less(keys[j]) })
 	for _, k := range keys {
-		a := l.accums[k]
-		st.Accums = append(st.Accums, AccumState{
-			Area: k.Area, Engine: k.Engine,
-			W: a.w, W2: a.w2,
-			SumOn: a.sumOn, SumOp: a.sumOp,
-			SumOn2: a.sumOn2, SumOp2: a.sumOp2, SumX: a.sumX,
-			Count: a.count, Bound: a.bound,
-			Windows: a.windowCount, Streak: a.streak, Breaches: a.breaches,
-		})
+		st.Accums = append(st.Accums, l.accums[k].state(k))
 	}
-	l.accMu.Unlock()
-	st.Counters = l.Counters()
+	st.Counters = l.counters
 	return st
 }
 
@@ -676,19 +668,13 @@ func (l *Ledger) Restore(st State) error {
 			windowCount: a.Windows, streak: a.Streak, breaches: a.Breaches,
 		}
 	}
-	// Swap the rebuilt internals in under the locks so concurrent
+	// Swap the rebuilt internals in under the lock so concurrent
 	// readers never observe a half-restored ledger.
-	l.accMu.Lock()
-	l.accums = fresh.accums
-	l.accMu.Unlock()
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	l.entries, l.order, l.head = fresh.entries, fresh.order, fresh.head
 	l.done, l.ring = fresh.done, fresh.ring
-	l.mu.Unlock()
-	l.issued.Store(st.Counters.Issued)
-	l.settled.Store(st.Counters.Settled)
-	l.orphaned.Store(st.Counters.Orphaned)
-	l.expired.Store(st.Counters.Expired)
-	l.breaches.Store(st.Counters.Breaches)
+	l.accums = fresh.accums
+	l.counters = st.Counters
 	return nil
 }

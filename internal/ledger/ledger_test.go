@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 	"testing"
 )
 
@@ -455,6 +456,9 @@ func TestRestoreRejectsInvalidState(t *testing.T) {
 		{Settled: []string{""}},
 		{Accums: []AccumState{{Area: "", Engine: "e"}}},
 		{Accums: []AccumState{{Area: "a", Engine: "e", W: math.NaN()}}},
+		// A weight below one, which no settle leaves, would carry the
+		// mean cost past float64's range (1e300 / 1e-10).
+		{Accums: []AccumState{{Area: "a", Engine: "e", W: 1e-10, W2: 1e-20, SumOn: 1e300, SumOp: 1e300, Count: 1}}},
 		{Accums: []AccumState{
 			{Area: "a", Engine: "e", W: 1, W2: 1},
 			{Area: "a", Engine: "e", W: 1, W2: 1},
@@ -627,27 +631,106 @@ func TestTinyStopsBandNotEstimable(t *testing.T) {
 	}
 }
 
-// TestOverflowedCostSumSaturates: two settles whose online costs each
-// sit near float64's limit overflow the running sums; the CR and the
-// mean costs read as the largest finite float64.
-func TestOverflowedCostSumSaturates(t *testing.T) {
+// TestSettleRefusesUnholdableSums: a settle whose costs would carry one
+// of its accumulator's running sums past float64's range is refused,
+// and the entry stays pending with the table, the accumulator and the
+// counters as they were, so the state still validates. TOI at
+// B = 1e200 pays a restart whose square overflows on the first settle;
+// at B = 1e154 the square is finite, and the second settle overflows
+// the running sum of squares.
+func TestSettleRefusesUnholdableSums(t *testing.T) {
+	for _, c := range []struct {
+		b      float64
+		settle int // settles accepted before the refusal
+	}{{1e200, 0}, {1e154, 1}} {
+		l := New(Config{})
+		for i := 0; i <= c.settle; i++ {
+			p := pend(fmt.Sprintf("d-%d", i), 0)
+			p.B, p.ThresholdSec = c.b, 0
+			if _, err := l.Issue(p); err != nil {
+				t.Fatal(err)
+			}
+			before := l.State()
+			_, err := l.Settle(p.ID, 5, 0)
+			if i < c.settle {
+				if err != nil {
+					t.Fatalf("b %v: settle %d: %v", c.b, i, err)
+				}
+				continue
+			}
+			if err == nil || errors.Is(err, ErrUnknownDecision) || errors.Is(err, ErrDuplicateSettle) {
+				t.Fatalf("b %v: settle %d: %v, want a plain refusal", c.b, i, err)
+			}
+			after := l.State()
+			if err := after.Validate(); err != nil {
+				t.Fatalf("b %v: state after the refusal: %v", c.b, err)
+			}
+			got, _ := json.Marshal(after)
+			want, _ := json.Marshal(before)
+			if string(got) != string(want) {
+				t.Errorf("b %v: the refusal changed the state:\n got %s\nwant %s", c.b, got, want)
+			}
+			if len(after.Pending) != 1 || after.Pending[0].ID != p.ID {
+				t.Errorf("b %v: pending %+v, want %s still pending", c.b, after.Pending, p.ID)
+			}
+		}
+	}
+}
+
+// TestStateIsOneCut: four writers issue and settle while a reader
+// captures the state. Every capture must be one cut: each id it lists
+// as settled has its outcome in an accumulator and in the counters,
+// and each issued id is either pending or settled. The ring holds
+// every settled id here (fewer settles than Capacity, no expiry).
+func TestStateIsOneCut(t *testing.T) {
+	const writers, perWriter = 4, 2000
 	l := New(Config{})
-	for i := 0; i < 2; i++ {
-		p := pend(fmt.Sprintf("big-%d", i), 0)
-		p.B, p.ThresholdSec = 1e308, 0
-		if _, err := l.Issue(p); err != nil {
-			t.Fatal(err)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				p := pend(fmt.Sprintf("w%d-%d", w, i), 0)
+				p.Area = fmt.Sprintf("area-%d", i%3)
+				if _, err := l.Issue(p); err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := l.Settle(p.ID, float64(i%60), 0); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	captures, torn := 0, 0
+	for running := true; running; captures++ {
+		select {
+		case <-done:
+			running = false // one last capture of the final state
+		default:
 		}
-		if _, err := l.Settle(p.ID, 1e308, 0); err != nil {
-			t.Fatal(err)
+		st := l.State()
+		var counted uint64
+		for _, a := range st.Accums {
+			counted += a.Count
+		}
+		settled := uint64(len(st.Settled))
+		if counted != settled || st.Counters.Settled != settled || st.Issued != settled+uint64(len(st.Pending)) {
+			if torn == 0 {
+				t.Errorf("capture %d: %d ids settled, accumulators count %d, counters %+v, %d pending",
+					captures, settled, counted, st.Counters, len(st.Pending))
+			}
+			torn++
 		}
 	}
-	rows := l.Rows()
-	if len(rows) != 1 || rows[0].CR != math.MaxFloat64 || rows[0].Band != -1 ||
-		rows[0].MeanOnline != math.MaxFloat64 || rows[0].MeanOpt != math.MaxFloat64 {
-		t.Fatalf("rows %+v", rows)
+	if torn > 0 {
+		t.Errorf("%d of %d captures were not one cut", torn, captures)
 	}
-	if _, err := json.Marshal(rows); err != nil {
-		t.Errorf("rows do not encode: %v", err)
+	if st := l.State(); st.Counters.Settled != writers*perWriter {
+		t.Errorf("settled %d, want %d", st.Counters.Settled, writers*perWriter)
 	}
 }

@@ -45,9 +45,10 @@ func serveProbe(t *testing.T, h http.Handler, method, path, body string) (int, [
 // It fails on any 5xx, on a 2xx whose body is empty or not JSON, and on
 // an area that stops answering default decides after a request the
 // server accepted. After every step, accepted or not, the ledger
-// table, the metrics history (sampled first) and the JSON metrics must
-// answer 200 with a JSON body. Each four bytes of the input are one
-// request: the operation, and three picks of values and variants.
+// table, the metrics history (sampled first), the JSON metrics and the
+// state-plane snapshot must answer 200 with a JSON body. Each four
+// bytes of the input are one request: the operation, and three picks
+// of values and variants.
 func FuzzServeExtremes(f *testing.F) {
 	f.Add([]byte{0, 12, 1, 0, 1, 12, 0, 0, 2, 12, 5, 1})        // the b = 1e308 probes
 	f.Add([]byte{0, 10, 4, 5, 3, 14, 12, 1, 5, 10, 14, 1})      // B = 1e300 at mu = B(1-q), stops at the top
@@ -56,6 +57,8 @@ func FuzzServeExtremes(f *testing.F) {
 	f.Add([]byte{0, 6, 0, 5, 5, 6, 1, 0})                       // TOI at B = 28 settled by a 5e-324 s stop
 	f.Add([]byte{0, 6, 0, 5, 5, 6, 3, 0, 5, 6, 3, 1})           // TOI settled twice at 1e-300 s
 	f.Add([]byte{0, 12, 0, 5, 5, 12, 14, 0, 5, 12, 14, 1})      // TOI at B = 1e308 settled twice past B: the cost sums overflow
+	f.Add([]byte{0, 10, 0, 5, 5, 10, 6, 0})                     // TOI at B = 1e300 settled at 28 s: the squared cost overflows
+	f.Add([]byte{0, 10, 0, 0, 4, 10, 0, 0})                     // B = 1e300, observes of 1e300 s and 0 s: the drift detector's squared deviation overflows
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		s, err := New(Config{Areas: testAreas(), Retune: RetuneConfig{MinObservations: 2, DriftWarmup: 2}})
 		if err != nil {
@@ -107,7 +110,7 @@ func FuzzServeExtremes(f *testing.F) {
 				}
 			}
 			s.sampler.Sample()
-			for _, path := range []string{"/v1/cr", "/v1/history", "/metrics?format=json"} {
+			for _, path := range []string{"/v1/cr", "/v1/history", "/metrics?format=json", "/v1/snapshot"} {
 				if c, body := serveProbe(t, h, http.MethodGet, path, ""); c != http.StatusOK {
 					t.Fatalf("GET %s: %d %s", path, c, body)
 				}

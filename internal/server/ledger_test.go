@@ -458,6 +458,50 @@ func tinyStopCR(t *testing.T, stops ...float64) http.Handler {
 	return h
 }
 
+// TestSettleBeyondAccumulatorRangeRefused: TOI at b = 1e200 pays a
+// 1e200 restart whose square float64 cannot hold. The settle is refused
+// with 400 bad_request before the ledger moves, the entry stays
+// pending, and the ledger plane still snapshots (its accumulators stay
+// finite) and restores.
+func TestSettleBeyondAccumulatorRangeRefused(t *testing.T) {
+	s, err := New(Config{Areas: testAreas()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	if code, raw := serveJSON(h, "PUT", "/v1/areas/chicago/stats", `{"b":1e200,"mu":0,"q":1}`); code != http.StatusOK {
+		t.Fatalf("stats update: %d %s", code, raw)
+	}
+	code, raw := serveJSON(h, "POST", "/v1/decide", `{"vehicle_id":"v","area":"chicago","ledger":true}`)
+	var d DecideResponse
+	if code != http.StatusOK || json.Unmarshal(raw, &d) != nil || d.Choice != "TOI" {
+		t.Fatalf("ledger decide: %d %s", code, raw)
+	}
+	code, raw = serveJSON(h, "POST", "/v1/observe", fmt.Sprintf(`{"area":"chicago","stop_sec":5,"decision_id":%q}`, d.DecisionID))
+	if code != http.StatusBadRequest || !strings.Contains(string(raw), `"bad_request"`) {
+		t.Fatalf("settle at stop 5: %d %s, want 400 bad_request", code, raw)
+	}
+	code, raw = serveJSON(h, "GET", "/v1/cr", "")
+	var table CRResponse
+	if code != http.StatusOK || json.Unmarshal(raw, &table) != nil {
+		t.Fatalf("GET /v1/cr: %d %s", code, raw)
+	}
+	if table.Pending != 1 || table.Counters.Settled != 0 || len(table.Rows) != 0 {
+		t.Errorf("ledger after the refusal: %s, want the entry pending and nothing settled", raw)
+	}
+	code, raw = serveJSON(h, "GET", "/v1/snapshot", "")
+	if code != http.StatusOK || !json.Valid(raw) {
+		t.Fatalf("GET /v1/snapshot: %d %s", code, raw)
+	}
+	plane, err := DecodeSnapshot(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(Config{Restore: &plane}); err != nil {
+		t.Errorf("restore from the snapshot: %v", err)
+	}
+}
+
 // TestCRFiniteAtSubnormalStop: TOI settled by a 5e-324 s stop has a CR
 // float64 cannot hold (28 / 5e-324); the ledger reports the largest
 // finite float64 and a band that is not estimable.

@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"strings"
 	"sync"
@@ -281,11 +282,26 @@ func TestBootBuildsNoStream(t *testing.T) {
 
 // TestNewRejectsInvalidRetune: an observe stream configuration no area
 // could run refuses the server at boot, although boot builds no stream.
+// That includes every float setting at NaN or +Inf: NaN passes a bare
+// x <= 0 test, and a NaN forgetting or slack answers every observe and
+// snapshot with 500, a NaN threshold never alarms.
 func TestNewRejectsInvalidRetune(t *testing.T) {
-	for _, rc := range []RetuneConfig{{Forgetting: 1.5}, {DriftWarmup: 1}} {
-		if _, err := New(Config{Areas: testAreas(), Retune: rc}); err == nil {
-			t.Errorf("New accepted %+v", rc)
-		}
+	nan, inf := math.NaN(), math.Inf(1)
+	for name, rc := range map[string]RetuneConfig{
+		"Forgetting=1.5":      {Forgetting: 1.5},
+		"DriftWarmup=1":       {DriftWarmup: 1},
+		"Forgetting=NaN":      {Forgetting: nan},
+		"Forgetting=+Inf":     {Forgetting: inf},
+		"DriftThreshold=NaN":  {DriftThreshold: nan},
+		"DriftThreshold=+Inf": {DriftThreshold: inf},
+		"DriftSlack=NaN":      {DriftSlack: nan},
+		"DriftSlack=+Inf":     {DriftSlack: inf},
+	} {
+		t.Run(name, func(t *testing.T) {
+			if _, err := New(Config{Areas: testAreas(), Retune: rc}); err == nil {
+				t.Errorf("New accepted %+v", rc)
+			}
+		})
 	}
 }
 
