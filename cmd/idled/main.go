@@ -5,17 +5,16 @@
 //
 // Usage:
 //
-//	idled serve    [-addr HOST:PORT] [-workers N] [-max-inflight N]
+//	idled serve    [-addr HOST:PORT] [-max-inflight N]
 //	               [-areas FILE] [-b SECONDS] [-seed N] [-max-batch N]
 //	               [-policy ENGINE] [-restore FILE]
 //	               [-forgetting F] [-min-observations N]
-//	               [-drift-threshold H] [-retune-off]
-//	               [-request-timeout D] [-drain-timeout D]
+//	               [-drift-threshold H] [-retune-off] [-drain-timeout D]
 //	               [-trace-log FILE] [-audit-log FILE] [-audit-max-bytes N]
 //	               [-history-interval D] [-history-window N]
 //	               [-pprof-addr HOST:PORT]
 //	idled loadtest [-target URL] [-clients N] [-requests N] [-batch N]
-//	               [-seed N] [-policy ENGINE] [-workers N] [-max-inflight N]
+//	               [-seed N] [-policy ENGINE] [-max-inflight N]
 //	               [-synthetic-areas N] [-observe F] [-miss F]
 //	               [-hot N] [-settle F] [-json] [-out report.json]
 //	               [-profile cpu|heap] [-profile-out FILE]
@@ -121,7 +120,6 @@ func loadAreas(path string, b float64) ([]server.AreaState, error) {
 func serve(ctx context.Context, args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("idled serve", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address")
-	workers := fs.Int("workers", 0, "batch fan-out pool size (0 = GOMAXPROCS); replies are identical for every value")
 	maxInflight := fs.Int("max-inflight", 1024, "max concurrently served /v1 requests before shedding with 429")
 	areasPath := fs.String("areas", "", "JSON area config file (default: the three paper areas; see areas-template)")
 	b := fs.Float64("b", 28, "default break-even interval (s) for the built-in areas")
@@ -133,7 +131,6 @@ func serve(ctx context.Context, args []string, stdout io.Writer) error {
 	driftThreshold := fs.Float64("drift-threshold", 0, "CUSUM alarm threshold in baseline standard deviations (0 = default)")
 	retuneOff := fs.Bool("retune-off", false, "accept observations but never re-derive strategies (shadow mode)")
 	maxBatch := fs.Int("max-batch", 4096, "max decisions per batch request")
-	reqTimeout := fs.Duration("request-timeout", 10*time.Second, "batch decide fan-out deadline")
 	drainTimeout := fs.Duration("drain-timeout", 10*time.Second, "graceful shutdown drain bound")
 	traceLog := fs.String("trace-log", "", "write request span records (JSONL) here; empty disables tracing")
 	auditLog := fs.String("audit-log", "", "write replayable decision audit records (JSONL) here; empty disables the audit log")
@@ -172,16 +169,14 @@ func serve(ctx context.Context, args []string, stdout io.Writer) error {
 		}
 	}
 	cfg := server.Config{
-		Addr:           *addr,
-		Workers:        *workers,
-		MaxInflight:    *maxInflight,
-		MaxBatch:       *maxBatch,
-		RootSeed:       *seed,
-		DefaultPolicy:  *defaultPolicy,
-		RequestTimeout: *reqTimeout,
-		DrainTimeout:   *drainTimeout,
-		Areas:          areas,
-		Restore:        restore,
+		Addr:          *addr,
+		MaxInflight:   *maxInflight,
+		MaxBatch:      *maxBatch,
+		RootSeed:      *seed,
+		DefaultPolicy: *defaultPolicy,
+		DrainTimeout:  *drainTimeout,
+		Areas:         areas,
+		Restore:       restore,
 		Retune: server.RetuneConfig{
 			Forgetting:      *forgetting,
 			MinObservations: *minObs,
@@ -245,7 +240,6 @@ func loadtest(ctx context.Context, args []string, stdout io.Writer) error {
 	batch := fs.Int("batch", 8, "decisions per batch request")
 	seed := fs.Uint64("seed", 0, "decision root seed sent with every batch (0 = server default)")
 	policySpec := fs.String("policy", "", "policy engine stamped on every decision (e.g. multislope3; empty = target default)")
-	workers := fs.Int("workers", 0, "in-process server pool size (ignored with -target)")
 	maxInflight := fs.Int("max-inflight", 1024, "in-process server in-flight bound (ignored with -target)")
 	synthAreas := fs.Int("synthetic-areas", 0, "serve N fabricated areas from the in-process server instead of the paper defaults (ignored with -target)")
 	observeFrac := fs.Float64("observe", 0, "fraction of requests sent as observe batches (streamed stop observations with a mid-run drift)")
@@ -311,7 +305,6 @@ func loadtest(ctx context.Context, args []string, stdout io.Writer) error {
 		}
 		srv, err := server.New(server.Config{
 			Addr:        "127.0.0.1:0",
-			Workers:     *workers,
 			MaxInflight: *maxInflight,
 			Areas:       areas,
 			Recorder:    rec,

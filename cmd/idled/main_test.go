@@ -5,9 +5,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"flag"
 	"io"
 	"net/http"
 	"os"
+	"regexp"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -326,5 +330,49 @@ func TestLoadtestTextOutput(t *testing.T) {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("report missing %q:\n%s", want, out.String())
 		}
+	}
+}
+
+// TestServeFlagTableMatchesDocs: docs/SERVER.md's flag table lists
+// exactly the flags idled serve defines, so the two cannot drift apart.
+func TestServeFlagTableMatchesDocs(t *testing.T) {
+	// serve -h prints its flag defaults to standard error.
+	usage, err := os.CreateTemp(t.TempDir(), "usage")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer usage.Close()
+	stderr := os.Stderr
+	os.Stderr = usage
+	err = run(context.Background(), []string{"serve", "-h"}, io.Discard)
+	os.Stderr = stderr
+	if !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("serve -h: %v", err)
+	}
+	printed, err := os.ReadFile(usage.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var defined []string
+	for _, m := range regexp.MustCompile(`(?m)^  (-[a-z-]+)`).FindAllStringSubmatch(string(printed), -1) {
+		defined = append(defined, m[1])
+	}
+
+	doc, err := os.ReadFile("../../docs/SERVER.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(doc), "\n## Flags\n")
+	if !ok {
+		t.Fatal("docs/SERVER.md has no Flags section")
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	var listed []string
+	for _, m := range regexp.MustCompile("(?m)^\\| `(-[a-z-]+)` \\|").FindAllStringSubmatch(section, -1) {
+		listed = append(listed, m[1])
+	}
+	sort.Strings(listed)
+	if len(defined) == 0 || strings.Join(listed, " ") != strings.Join(defined, " ") {
+		t.Errorf("docs/SERVER.md flag table lists\n  %v\nidled serve defines\n  %v", listed, defined)
 	}
 }

@@ -8,6 +8,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"strings"
 
 	"idlereduce/internal/analysis"
 	"idlereduce/internal/fleet"
@@ -43,7 +44,12 @@ func main() {
 		chart.Add(series("TOI", func(p analysis.SweepPoint) float64 { return p.Baselines["TOI"] }))
 		chart.Add(series("N-Rand", func(p analysis.SweepPoint) float64 { return p.Baselines["N-Rand"] }))
 		chart.Add(series("Proposed", func(p analysis.SweepPoint) float64 { return p.Proposed }))
-		fmt.Println(chart.Render())
+		// The chart pads its rows to full width. The trailing blanks
+		// are trimmed so the output can be pinned in an Output comment,
+		// from which gofmt strips them.
+		for _, row := range strings.Split(chart.Render(), "\n") {
+			fmt.Println(strings.TrimRight(row, " "))
+		}
 
 		// Report the regime boundaries: where the proposed selection
 		// changes vertex.

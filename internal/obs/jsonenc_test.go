@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -155,7 +154,7 @@ func TestSpanRecordMatchesMarshal(t *testing.T) {
 func TestNaNSpanCountedAsDropped(t *testing.T) {
 	var buf bytes.Buffer
 	tr := NewTracer(NewJSONLWriter(&buf, 4))
-	_, sp := tr.Start(context.Background(), "s", "r")
+	sp := tr.Start("s", "r")
 	sp.SetFloat("b", math.Inf(1))
 	sp.End()
 	if err := tr.Close(); err != nil {
@@ -199,7 +198,7 @@ func TestAppendJSONAllocatesNothing(t *testing.T) {
 func TestSpanSettersConcurrent(t *testing.T) {
 	var buf bytes.Buffer
 	tr := NewTracer(NewJSONLWriter(&buf, 4))
-	_, sp := tr.Start(context.Background(), "http_request", "r")
+	sp := tr.Start("http_request", "r")
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)

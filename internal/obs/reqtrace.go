@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"math"
 	"slices"
 	"strings"
@@ -14,7 +13,7 @@ import (
 // (which feeds aggregate histograms): a Tracer span is request-scoped
 // forensics — every record carries the request id, so an operator can
 // grep one request's path through middleware, handler and batch
-// fan-out. A nil *Tracer (and a nil *Span) is a no-op, so call sites
+// items. A nil *Tracer (and a nil *Span) is a no-op, so call sites
 // need no guards when tracing is disabled.
 type Tracer struct {
 	w *JSONLWriter
@@ -65,8 +64,9 @@ type SpanRecord struct {
 	Attrs     map[string]any `json:"attrs,omitempty"`
 }
 
-// Span is one traced operation within a request. Attribute writes are
-// mutex-guarded so batch fan-out workers may annotate concurrently.
+// Span is one traced operation within a request. Attribute writes and
+// End are mutex-guarded, so a span may be annotated from more than one
+// goroutine.
 type Span struct {
 	t     *Tracer
 	name  string
@@ -99,14 +99,12 @@ const (
 	attrBool
 )
 
-// Start opens a span and returns a derived context carrying it. On a
-// nil tracer the context is returned unchanged with a nil span.
-func (t *Tracer) Start(ctx context.Context, name, requestID string) (context.Context, *Span) {
+// Start opens a span; a nil tracer returns a nil span.
+func (t *Tracer) Start(name, requestID string) *Span {
 	if t == nil {
-		return ctx, nil
+		return nil
 	}
-	sp := &Span{t: t, name: name, reqID: requestID, start: time.Now()}
-	return ContextWithSpan(ctx, sp), sp
+	return &Span{t: t, name: name, reqID: requestID, start: time.Now()}
 }
 
 // Child opens a sub-span inheriting the request id (e.g. one per batch
@@ -227,41 +225,4 @@ func (f *finishedSpan) AppendJSON(dst []byte) ([]byte, error) {
 		o.Raw(a.End())
 	}
 	return o.End()
-}
-
-// spanKey and reqIDKey key the span and the request id in a context.
-// The request id travels separately so it stays available (for audit
-// records and response headers) when tracing is disabled.
-type (
-	spanKey  struct{}
-	reqIDKey struct{}
-)
-
-// ContextWithSpan returns ctx carrying sp.
-func ContextWithSpan(ctx context.Context, sp *Span) context.Context {
-	return context.WithValue(ctx, spanKey{}, sp)
-}
-
-// SpanFrom extracts the current span; nil when absent, and every Span
-// method is nil-safe, so callers can use the result unconditionally.
-func SpanFrom(ctx context.Context) *Span {
-	if ctx == nil {
-		return nil
-	}
-	sp, _ := ctx.Value(spanKey{}).(*Span)
-	return sp
-}
-
-// WithRequestID returns ctx carrying the request correlation id.
-func WithRequestID(ctx context.Context, id string) context.Context {
-	return context.WithValue(ctx, reqIDKey{}, id)
-}
-
-// RequestIDFrom extracts the request id ("" when absent).
-func RequestIDFrom(ctx context.Context) string {
-	if ctx == nil {
-		return ""
-	}
-	id, _ := ctx.Value(reqIDKey{}).(string)
-	return id
 }

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -27,12 +26,8 @@ func decodeSpans(t *testing.T, buf *bytes.Buffer) []SpanRecord {
 func TestTracerEmitsSpanRecords(t *testing.T) {
 	var buf bytes.Buffer
 	tr := NewTracer(NewJSONLWriter(&buf, 16))
-	ctx, sp := tr.Start(context.Background(), "http_request", "req-1")
+	sp := tr.Start("http_request", "req-1")
 	sp.SetString("route", "decide")
-
-	if got := SpanFrom(ctx); got != sp {
-		t.Fatal("SpanFrom did not return the started span")
-	}
 	child := sp.Child("decide_item")
 	child.SetInt("index", 3)
 	child.End()
@@ -66,7 +61,7 @@ func TestTracerEmitsSpanRecords(t *testing.T) {
 
 func TestNilTracerAndSpanAreNoOps(t *testing.T) {
 	var tr *Tracer
-	ctx, sp := tr.Start(context.Background(), "x", "r")
+	sp := tr.Start("x", "r")
 	if sp != nil {
 		t.Fatal("nil tracer returned a span")
 	}
@@ -78,28 +73,15 @@ func TestNilTracerAndSpanAreNoOps(t *testing.T) {
 	if tr.Dropped() != 0 || tr.Flush() != nil || tr.Close() != nil {
 		t.Error("nil tracer methods not inert")
 	}
-	if SpanFrom(ctx) != nil {
-		t.Error("context unexpectedly carries a span")
-	}
 	if NewTracer(nil) != nil {
 		t.Error("NewTracer(nil) should be the no-op tracer")
-	}
-}
-
-func TestRequestIDContext(t *testing.T) {
-	ctx := WithRequestID(context.Background(), "req-42")
-	if got := RequestIDFrom(ctx); got != "req-42" {
-		t.Errorf("RequestIDFrom = %q", got)
-	}
-	if got := RequestIDFrom(context.Background()); got != "" {
-		t.Errorf("empty context id = %q", got)
 	}
 }
 
 func TestSpanSetAfterEndIgnored(t *testing.T) {
 	var buf bytes.Buffer
 	tr := NewTracer(NewJSONLWriter(&buf, 4))
-	_, sp := tr.Start(context.Background(), "s", "r")
+	sp := tr.Start("s", "r")
 	sp.End()
 	sp.SetBool("late", true)
 	if err := tr.Close(); err != nil {

@@ -123,8 +123,8 @@ func DefaultSuites() []Benchmark {
 			},
 		},
 		{
-			// A 64-item batch through the parallel fan-out (fixed body,
-			// so the measured work is decode + 64 decisions + merge).
+			// A 64-item batch (fixed body, so the measured work is
+			// decode + 64 decisions in input order + encode).
 			Name: "decide_batch_64", Class: "latency", Iters: 150,
 			Setup: func() (Op, func(), error) {
 				h, err := defaultHandler()

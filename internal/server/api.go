@@ -214,8 +214,8 @@ func appendArray[T obs.JSONAppender](dst []byte, items []T) ([]byte, error) {
 	return append(dst, ']'), nil
 }
 
-// BatchDecideRequest fans one decision per item over the server's
-// worker pool. Items are independent; the reply preserves input order.
+// BatchDecideRequest asks for one decision per item. Items are
+// independent and decided in input order.
 type BatchDecideRequest struct {
 	// Seed is the default root seed for items that do not carry their
 	// own. Zero falls back to the server root seed.

@@ -66,7 +66,7 @@ func TestAuditRoundTripVerifies(t *testing.T) {
 			t.Fatalf("decide %d: status %d", i, status)
 		}
 	}
-	// Custom B (cache-miss path) and a batch fan-out.
+	// Custom B (cache-miss path) and a batch.
 	if status, _ := doJSON(t, "POST", ts.URL+"/v1/decide",
 		`{"vehicle_id":"v-b","area":"chicago","b":40}`, nil); status != http.StatusOK {
 		t.Fatalf("custom-B decide: status %d", status)
@@ -316,6 +316,129 @@ func TestAuditRequestIDMatchesHeader(t *testing.T) {
 	}
 	if !strings.Contains(trace.String(), `"request_id":"client-chosen-7"`) {
 		t.Errorf("trace missing propagated id: %s", trace.String())
+	}
+}
+
+// TestRequestIDReachesEveryRecord: a decide batch with one ledger-opted
+// item, then an observe batch that settles it beside a plain observe,
+// run with the audit sink alone and with both sinks, under a client
+// X-Request-Id and under a minted one. Every decide, settle and observe
+// record carries its request's id, and with tracing on so do the
+// batch's decide_item spans, in index order.
+func TestRequestIDReachesEveryRecord(t *testing.T) {
+	for _, traced := range []bool{false, true} {
+		for _, clientIDs := range []bool{true, false} {
+			t.Run(fmt.Sprintf("trace=%v/client_ids=%v", traced, clientIDs), func(t *testing.T) {
+				audit, trace := &syncBuffer{}, &syncBuffer{}
+				s, ts := newTestServer(t, func(c *Config) {
+					c.AuditLog = audit
+					if traced {
+						c.TraceLog = trace
+					}
+				})
+				// post sends body under the client id when the case uses
+				// one, and returns the id the reply carries.
+				post := func(path, clientID, body string, out any) string {
+					t.Helper()
+					req, err := http.NewRequest("POST", ts.URL+path, strings.NewReader(body))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if clientIDs {
+						req.Header.Set("X-Request-Id", clientID)
+					}
+					resp, err := http.DefaultClient.Do(req)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer resp.Body.Close()
+					if err := json.NewDecoder(resp.Body).Decode(out); err != nil || resp.StatusCode != http.StatusOK {
+						t.Fatalf("%s: status %d, decode %v", path, resp.StatusCode, err)
+					}
+					id := resp.Header.Get("X-Request-Id")
+					if clientIDs && id != clientID {
+						t.Fatalf("%s: reply id %q, want %q", path, id, clientID)
+					}
+					return id
+				}
+				var decided BatchDecideResponse
+				decideID := post("/v1/decide/batch", "client-decide", `{"seed":4,"requests":[
+					{"vehicle_id":"a","area":"chicago"},
+					{"vehicle_id":"b","area":"atlanta","ledger":true},
+					{"vehicle_id":"c","area":"chicago","b":40}]}`, &decided)
+				if len(decided.Results) != 3 || decided.Results[1].Decision == nil || decided.Results[1].Decision.DecisionID == "" {
+					t.Fatalf("decide batch: %+v", decided)
+				}
+				var observed BatchObserveResponse
+				observeID := post("/v1/observe/batch", "client-observe", fmt.Sprintf(`{"observations":[
+					{"vehicle_id":"b","area":"atlanta","stop_sec":12,"decision_id":%q},
+					{"vehicle_id":"d","area":"chicago","stop_sec":40}]}`, decided.Results[1].Decision.DecisionID), &observed)
+				if observed.Accepted != 2 || observed.Settled != 1 {
+					t.Fatalf("observe batch: %+v", observed)
+				}
+				if decideID == "" || decideID == observeID {
+					t.Fatalf("request ids %q and %q, want two distinct ids", decideID, observeID)
+				}
+				if err := s.closeLogs(); err != nil {
+					t.Fatal(err)
+				}
+
+				type idLine struct {
+					Kind      string `json:"kind"`
+					RequestID string `json:"request_id"`
+					Span      string `json:"span"`
+					Attrs     struct {
+						Index *int `json:"index"`
+					} `json:"attrs"`
+				}
+				lines := func(data string) []idLine {
+					var out []idLine
+					for _, l := range strings.Split(strings.TrimSpace(data), "\n") {
+						var rec idLine
+						if err := json.Unmarshal([]byte(l), &rec); err != nil {
+							t.Fatalf("bad line %q: %v", l, err)
+						}
+						out = append(out, rec)
+					}
+					return out
+				}
+				want := []idLine{
+					{RequestID: decideID}, {RequestID: decideID}, {RequestID: decideID},
+					{Kind: settleKind, RequestID: observeID},
+					{Kind: observeKind, RequestID: observeID},
+					{Kind: observeKind, RequestID: observeID},
+				}
+				got := lines(audit.String())
+				if len(got) != len(want) {
+					t.Fatalf("audit has %d records, want %d:\n%s", len(got), len(want), audit.String())
+				}
+				for i := range want {
+					if got[i].Kind != want[i].Kind || got[i].RequestID != want[i].RequestID {
+						t.Errorf("audit record %d: kind %q id %q, want kind %q id %q",
+							i, got[i].Kind, got[i].RequestID, want[i].Kind, want[i].RequestID)
+					}
+				}
+				if !traced {
+					return
+				}
+				var items []int
+				for _, sp := range lines(trace.String()) {
+					if sp.RequestID != decideID && sp.RequestID != observeID {
+						t.Errorf("span %s carries id %q", sp.Span, sp.RequestID)
+					}
+					if sp.Span == "decide_item" {
+						if sp.RequestID != decideID || sp.Attrs.Index == nil {
+							t.Errorf("decide_item span: id %q index %v", sp.RequestID, sp.Attrs.Index)
+							continue
+						}
+						items = append(items, *sp.Attrs.Index)
+					}
+				}
+				if fmt.Sprint(items) != "[0 1 2]" {
+					t.Errorf("decide_item indexes %v, want [0 1 2] in order", items)
+				}
+			})
+		}
 	}
 }
 

@@ -1,11 +1,14 @@
 package server
 
 import (
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"idlereduce/internal/policy"
 )
 
 // benchDecide drives POST /v1/decide through the full middleware stack
@@ -48,4 +51,44 @@ func BenchmarkDecideObsOff(b *testing.B) {
 // marshal + bounded enqueue).
 func BenchmarkDecideObsOn(b *testing.B) {
 	benchDecide(b, Config{TraceLog: io.Discard, AuditLog: io.Discard})
+}
+
+// BenchmarkMaxBatch times the slowest batch -max-batch admits, per
+// registered engine: 4096 items, each with its own custom b, so every
+// item prepares a fresh strategy, through the full handler with both
+// sinks on. Its time is the bound docs/SERVER.md states for one batch.
+func BenchmarkMaxBatch(b *testing.B) {
+	for _, name := range policy.Names() {
+		b.Run(name, func(b *testing.B) {
+			s, err := New(Config{Areas: conformanceAreas(), TraceLog: io.Discard, AuditLog: io.Discard})
+			if err != nil {
+				b.Fatal(err)
+			}
+			areas := []string{"chicago", "atlanta", "nrandia"}
+			var body strings.Builder
+			body.WriteString(`{"seed":3,"requests":[`)
+			for i := 0; i < s.cfg.MaxBatch; i++ {
+				if i > 0 {
+					body.WriteByte(',')
+				}
+				fmt.Fprintf(&body, `{"vehicle_id":"v-%d","area":%q,"b":%g,"policy":%q}`,
+					i, areas[i%len(areas)], 30+float64(i)/100, name)
+			}
+			body.WriteString(`]}`)
+			h := s.Handler()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				w := httptest.NewRecorder()
+				h.ServeHTTP(w, httptest.NewRequest("POST", "/v1/decide/batch", strings.NewReader(body.String())))
+				if w.Code != http.StatusOK || strings.Contains(w.Body.String(), `"error"`) {
+					b.Fatalf("status %d: %.300s", w.Code, w.Body.String())
+				}
+			}
+			b.StopTimer()
+			if err := s.closeLogs(); err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
 }

@@ -24,7 +24,7 @@ type CRResponse struct {
 // handleCR serves GET /v1/cr. Like /v1/history it bypasses the
 // in-flight limiter, so the guarantee watchdog keeps rendering while
 // decision load is shed.
-func (s *Server) handleCR(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleCR(w http.ResponseWriter, r *http.Request, _ call) {
 	s.writeJSON(w, http.StatusOK, CRResponse{
 		Rows:     s.ledger.Rows(),
 		Pending:  s.ledger.PendingCount(),

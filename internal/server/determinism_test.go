@@ -9,12 +9,11 @@ import (
 	"testing"
 )
 
-// TestDecideDeterministicAcrossWorkers is the serving determinism
+// TestDecideDeterministicAcrossInstances is the serving determinism
 // contract: identical requests with the same seed return byte-identical
-// bodies regardless of the batch worker-pool size, sibling traffic, or
-// which server instance answers. N-Rand draws are covered by updating
-// an area into the N-Rand region first.
-func TestDecideDeterministicAcrossWorkers(t *testing.T) {
+// bodies regardless of sibling traffic or which server instance
+// answers. N-Rand draws are covered by an area in the N-Rand region.
+func TestDecideDeterministicAcrossInstances(t *testing.T) {
 	singles := []string{
 		`{"vehicle_id":"det-1","area":"chicago","seed":11}`,
 		`{"vehicle_id":"det-1","area":"chicago","b":60,"seed":11}`,
@@ -29,14 +28,13 @@ func TestDecideDeterministicAcrossWorkers(t *testing.T) {
 
 	var wantSingles [][]byte
 	var wantBatch []byte
-	for _, workers := range []int{1, 4, 8} {
-		workers := workers
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+	for inst := 0; inst < 3; inst++ {
+		t.Run(fmt.Sprintf("instance=%d", inst), func(t *testing.T) {
 			areas := append(testAreas(),
 				// Statistics deep in the N-Rand region so the reply
 				// exercises the randomized threshold draw.
 				AreaState{ID: "nrandia", B: 28, Mu: 4, Q: 0.25})
-			s, err := New(Config{Areas: areas, Workers: workers})
+			s, err := New(Config{Areas: areas})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -51,7 +49,7 @@ func TestDecideDeterministicAcrossWorkers(t *testing.T) {
 					if status != http.StatusOK {
 						t.Fatalf("single %d status %d: %s", i, status, raw)
 					}
-					if workers == 1 && rep == 0 {
+					if inst == 0 && rep == 0 {
 						wantSingles = append(wantSingles, raw)
 					} else if !bytes.Equal(raw, wantSingles[i]) {
 						t.Errorf("single %d diverged:\n%s\n%s", i, raw, wantSingles[i])
@@ -62,17 +60,17 @@ func TestDecideDeterministicAcrossWorkers(t *testing.T) {
 			if status != http.StatusOK {
 				t.Fatalf("batch status %d: %s", status, raw)
 			}
-			if workers == 1 {
+			if inst == 0 {
 				wantBatch = raw
 			} else if !bytes.Equal(raw, wantBatch) {
-				t.Errorf("batch diverged at workers=%d:\n%s\n%s", workers, raw, wantBatch)
+				t.Errorf("batch diverged at instance=%d:\n%s\n%s", inst, raw, wantBatch)
 			}
 		})
 	}
 }
 
 // TestDecideDeterministicAcrossShards: replies over a 64-area cache are
-// byte-equal for every batch worker count, including after concurrent
+// byte-equal across fresh server instances, including after concurrent
 // clients have served interleaved traffic. (The name predates the
 // per-area views, which replaced the sharded cache.)
 func TestDecideDeterministicAcrossShards(t *testing.T) {
@@ -95,10 +93,10 @@ func TestDecideDeterministicAcrossShards(t *testing.T) {
 	var wantSingles [][]byte
 	var wantBatch []byte
 	first := true
-	for _, workers := range []int{1, 4, 8} {
-		name := fmt.Sprintf("workers=%d", workers)
+	for inst := 0; inst < 3; inst++ {
+		name := fmt.Sprintf("instance=%d", inst)
 		t.Run(name, func(t *testing.T) {
-			s, err := New(Config{Areas: areas, Workers: workers})
+			s, err := New(Config{Areas: areas})
 			if err != nil {
 				t.Fatal(err)
 			}

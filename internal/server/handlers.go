@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -23,8 +22,7 @@ import (
 // requestStream derives the deterministic RNG stream ID of one decide
 // request from its identifying fields. Together with the root seed it
 // makes every reply a pure function of (seed, vehicle_id, area, b):
-// independent of scheduling, worker count, batch position and sibling
-// requests.
+// independent of scheduling, batch position and sibling requests.
 func requestStream(vehicleID, area string, b float64) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(vehicleID))
@@ -125,15 +123,15 @@ func wireSchedule(actions []policy.Action) []ScheduleAction {
 
 // decide computes one decision. It returns the structured API error to
 // send instead of an (error, status) pair so the batch path can embed
-// failures per item. ctx carries the request id and (when tracing is
-// on) the span the decision annotates; with an audit log configured
-// the decision is appended as a replayable AuditRecord. Both are
-// gated on a nil check so the disabled path stays free.
+// failures per item. c carries the request id and the span the
+// decision annotates (nil when tracing is off); with an audit log
+// configured the decision is appended as a replayable AuditRecord.
+// Both are gated on a nil check so the disabled path stays free.
 //
 // The serving engine is the daemon default unless the request names
 // one; decisions from the default constrained engine keep the exact
 // pre-engine wire bytes (no policy/schedule/explain fields).
-func (s *Server) decide(ctx context.Context, req DecideRequest, defaultSeed uint64) (*DecideResponse, *APIError) {
+func (s *Server) decide(c call, req DecideRequest, defaultSeed uint64) (*DecideResponse, *APIError) {
 	if req.VehicleID == "" {
 		return nil, &APIError{Code: "bad_request", Message: "vehicle_id is required", Status: http.StatusBadRequest}
 	}
@@ -208,16 +206,13 @@ func (s *Server) decide(ctx context.Context, req DecideRequest, defaultSeed uint
 		s.series.predictions.get().Inc()
 	}
 
-	if s.cfg.testDelay > 0 {
-		time.Sleep(s.cfg.testDelay)
-	}
 	if s.cfg.testHook != nil {
 		s.cfg.testHook()
 	}
 	s.decideTotal.Get(dec.Choice).Inc()
 	s.series.threshold.get().Observe(dec.ThresholdSec)
 	rec.metrics.record(s.rec.Registry(), rec.state.ID, float64(time.Since(t0))/float64(time.Millisecond))
-	sp := s.requestSpan(ctx)
+	sp := c.span
 	if sp != nil {
 		sp.SetString("area", rec.state.ID)
 		sp.SetUint("stats_version", rec.version)
@@ -264,7 +259,7 @@ func (s *Server) decide(ctx context.Context, req DecideRequest, defaultSeed uint
 	if s.auditW != nil {
 		s.auditW.Write(AuditRecord{
 			TSUnixMS:      time.Now().UnixMilli(),
-			RequestID:     obs.RequestIDFrom(ctx),
+			RequestID:     c.id,
 			VehicleID:     req.VehicleID,
 			Area:          rec.state.ID,
 			StatsVersion:  rec.version,
@@ -304,17 +299,8 @@ func (s *Server) decide(ctx context.Context, req DecideRequest, defaultSeed uint
 	return resp, nil
 }
 
-// requestSpan returns the span ctx carries; nil when tracing is off,
-// without the context walk.
-func (s *Server) requestSpan(ctx context.Context) *obs.Span {
-	if s.tracer == nil {
-		return nil
-	}
-	return obs.SpanFrom(ctx)
-}
-
 // handleDecide serves POST /v1/decide.
-func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request, c call) {
 	var req DecideRequest
 	if err := decodeRequest(s, "decide", r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad_request", "decode request: "+err.Error())
@@ -323,7 +309,7 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 	if r.Header.Get(ledgerHeader) != "" {
 		req.Ledger = true
 	}
-	resp, apiErr := s.decide(r.Context(), req, s.cfg.RootSeed)
+	resp, apiErr := s.decide(c, req, s.cfg.RootSeed)
 	if apiErr != nil {
 		writeError(w, apiErr.Status, apiErr.Code, apiErr.Message)
 		return
@@ -331,11 +317,11 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, resp)
 }
 
-// handleBatch serves POST /v1/decide/batch: the items fan out over the
-// deterministic worker pool and merge back in input order. Item
-// failures are embedded per slot, so a batch reply is always 200 once
-// it passes structural validation.
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
+// handleBatch serves POST /v1/decide/batch: the items are decided in
+// input order, each under its own decide_item child span. Item failures
+// are embedded per slot, so a batch reply is always 200 once it passes
+// structural validation.
+func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, c call) {
 	var req BatchDecideRequest
 	if err := decodeRequest(s, "batch", r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad_request", "decode request: "+err.Error())
@@ -359,33 +345,17 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			req.Requests[i].Ledger = true
 		}
 	}
-	// The fan-out is the one wait on a context in the serving paths, so
-	// it alone carries the RequestTimeout deadline.
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-	defer cancel()
-	ctx = obs.WithRecorder(ctx, s.rec)
-	parent := obs.SpanFrom(ctx)
-	results, err := parallel.Map(ctx, "server_batch", len(req.Requests), s.cfg.Workers,
-		func(ictx context.Context, i int) (BatchItem, error) {
-			// Each batch item gets its own child span (same request
-			// id) so the fan-out stays attributable per decision.
-			if parent != nil {
-				child := parent.Child("decide_item")
-				child.SetInt("index", int64(i))
-				defer child.End()
-				ictx = obs.ContextWithSpan(ictx, child)
-			}
-			resp, apiErr := s.decide(ictx, req.Requests[i], seed)
-			if apiErr != nil {
-				return BatchItem{Error: apiErr}, nil
-			}
-			return BatchItem{Decision: resp}, nil
-		})
-	if err != nil {
-		// Only context cancellation/timeout reaches here: per-item
-		// errors are embedded in the slots above.
-		writeError(w, http.StatusServiceUnavailable, "internal", "batch aborted: "+err.Error())
-		return
+	results := make([]BatchItem, len(req.Requests))
+	for i := range req.Requests {
+		sp := c.span.Child("decide_item")
+		sp.SetInt("index", int64(i))
+		resp, apiErr := s.decide(call{id: c.id, span: sp}, req.Requests[i], seed)
+		sp.End()
+		if apiErr != nil {
+			results[i] = BatchItem{Error: apiErr}
+		} else {
+			results[i] = BatchItem{Decision: resp}
+		}
 	}
 	s.series.batchDecisions.get().Add(int64(len(results)))
 	writeBatch(s, w, BatchDecideResponse{Seed: seed, Results: results}, results,
@@ -412,7 +382,7 @@ func writeBatch[T obs.JSONAppender](s *Server, w http.ResponseWriter, reply obs.
 }
 
 // handleStatsUpdate serves PUT /v1/areas/{id}/stats.
-func (s *Server) handleStatsUpdate(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleStatsUpdate(w http.ResponseWriter, r *http.Request, _ call) {
 	id := r.PathValue("id")
 	var req StatsUpdateRequest
 	if err := decodeStrict(http.MaxBytesReader(nil, r.Body, maxRequestBody), &req); err != nil {
@@ -436,7 +406,7 @@ func (s *Server) handleStatsUpdate(w http.ResponseWriter, r *http.Request) {
 // the listing through another engine; areas that engine cannot serve
 // carry an error field instead of strategy fields, so one infeasible
 // area never hides the rest.
-func (s *Server) handleAreas(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleAreas(w http.ResponseWriter, r *http.Request, _ call) {
 	eng := s.engine
 	if spec := r.URL.Query().Get("policy"); spec != "" {
 		var err error
@@ -470,7 +440,7 @@ func (s *Server) handleAreas(w http.ResponseWriter, r *http.Request) {
 // handlePolicies serves GET /v1/policies: the registered policy
 // engines, their pinned specs, and which one this daemon serves by
 // default.
-func (s *Server) handlePolicies(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handlePolicies(w http.ResponseWriter, r *http.Request, _ call) {
 	names := policy.Names()
 	resp := PoliciesResponse{Policies: make([]PolicyInfo, 0, len(names))}
 	for _, n := range names {
@@ -495,7 +465,7 @@ func (s *Server) handlePolicies(w http.ResponseWriter, r *http.Request) {
 
 // handleHealthz serves GET /healthz. It bypasses the in-flight limiter
 // so liveness probes keep passing while decision load is shed.
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request, _ call) {
 	bi := readBuildInfo()
 	s.writeJSON(w, http.StatusOK, HealthResponse{
 		Status:      "ok",
@@ -509,7 +479,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 // handleBuildInfo serves GET /v1/buildinfo: the serving binary's build
 // provenance so dashboards and load reports can label runs.
-func (s *Server) handleBuildInfo(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleBuildInfo(w http.ResponseWriter, r *http.Request, _ call) {
 	bi := readBuildInfo()
 	s.writeJSON(w, http.StatusOK, BuildInfoResponse{
 		Version:     bi.Version,
@@ -525,7 +495,7 @@ func (s *Server) handleBuildInfo(w http.ResponseWriter, r *http.Request) {
 // handleHistory serves GET /v1/history: the ring-buffer sampler's
 // retained metrics window (windowed rates plus rolling quantiles). It
 // bypasses the limiter so dashboards keep rendering under overload.
-func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request, _ call) {
 	s.writeJSON(w, http.StatusOK, s.sampler.History())
 }
 
@@ -533,7 +503,7 @@ func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 // Prometheus text format, or JSON with ?format=json. The bounded
 // trace/audit writers are lossy by design; their drop counts are
 // refreshed into gauges here so a scrape always sees them.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request, _ call) {
 	if s.tracer != nil {
 		s.rec.Set("trace_dropped_records", float64(s.tracer.Dropped()))
 	}
@@ -564,7 +534,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // handleNotFound is the structured-JSON fallthrough for unknown routes
 // and wrong methods (the catch-all pattern shadows the mux's built-in
 // 405, so method mismatches are re-derived here).
-func (s *Server) handleNotFound(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleNotFound(w http.ResponseWriter, r *http.Request, _ call) {
 	if methods := allowedMethods(r.URL.Path); len(methods) > 0 {
 		w.Header().Set("Allow", strings.Join(methods, ", "))
 		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed",

@@ -9,7 +9,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 )
 
 // newTestServer builds a Server on the standard test areas and mounts
@@ -135,7 +134,7 @@ func TestDecideValidationErrors(t *testing.T) {
 }
 
 func TestBatchOrderAndEmbeddedErrors(t *testing.T) {
-	_, ts := newTestServer(t, func(c *Config) { c.Workers = 4 })
+	_, ts := newTestServer(t, nil)
 	body := `{"seed":9,"requests":[
 		{"vehicle_id":"a","area":"chicago"},
 		{"vehicle_id":"b","area":"mars"},
@@ -330,28 +329,5 @@ func TestRequestCountsMatchTraffic(t *testing.T) {
 	h, ok := snap.HistogramValue(`http_request_ms{route="decide"}`)
 	if !ok || h.Count != n {
 		t.Errorf("latency histogram %+v, want count %d", h, n)
-	}
-}
-
-// TestBatchDeadline: RequestTimeout bounds a batch decide's fan-out; a
-// batch whose items outlast it answers 503 internal, and the deadline
-// is not imposed on a single decide.
-func TestBatchDeadline(t *testing.T) {
-	s, err := New(Config{Areas: testAreas(), Workers: 1, RequestTimeout: 20 * time.Millisecond, testDelay: 25 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := s.Handler()
-	rr := httptest.NewRecorder()
-	h.ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/v1/decide/batch", strings.NewReader(
-		`{"requests":[{"vehicle_id":"a","area":"chicago"},{"vehicle_id":"b","area":"chicago"},{"vehicle_id":"c","area":"chicago"},{"vehicle_id":"d","area":"chicago"}]}`)))
-	const want = `{"error":{"code":"internal","message":"batch aborted: context deadline exceeded","status":503}}` + "\n"
-	if rr.Code != http.StatusServiceUnavailable || rr.Body.String() != want {
-		t.Errorf("batch past the deadline: %d %s, want 503 %s", rr.Code, rr.Body, want)
-	}
-	rr = httptest.NewRecorder()
-	h.ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/v1/decide", strings.NewReader(`{"vehicle_id":"a","area":"chicago"}`)))
-	if rr.Code != http.StatusOK {
-		t.Errorf("single decide: %d %s, want 200", rr.Code, rr.Body)
 	}
 }

@@ -18,7 +18,7 @@ import (
 // /metrics: request counts, cache hits and latency histogram counts
 // must all equal the load driven.
 func TestLoadHarnessReportMatchesMetrics(t *testing.T) {
-	s, ts := newTestServer(t, func(c *Config) { c.Workers = 4 })
+	s, ts := newTestServer(t, nil)
 	const clients, requests, batch = 8, 10, 5
 	report, err := RunLoad(context.Background(), LoadOptions{
 		BaseURL:  ts.URL,
@@ -87,7 +87,7 @@ func TestLoadDiscoversAreas(t *testing.T) {
 // 1000 batch decisions simultaneously in flight, each held inside the
 // decide handler until all 1000 have arrived, then released together.
 // Run under -race this exercises the full concurrent path: limiter,
-// cache reads, pool fan-out, metrics writes.
+// cache reads, batch decides, metrics writes.
 func TestThousandConcurrentInflightBatches(t *testing.T) {
 	const n = 1000
 	var entered atomic.Int64
@@ -108,7 +108,6 @@ func TestThousandConcurrentInflightBatches(t *testing.T) {
 	s, err := New(Config{
 		Areas:        testAreas(),
 		MaxInflight:  n,
-		Workers:      2,
 		ReadTimeout:  90 * time.Second,
 		WriteTimeout: 90 * time.Second,
 		testHook:     hook,

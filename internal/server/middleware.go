@@ -41,14 +41,24 @@ const requestIDHeader = "X-Request-Id"
 // request's ledger field; on a batch it opts in every item.
 const ledgerHeader = "X-Ledger"
 
+// call is what the middleware hands a handler besides the request: the
+// request id its audit records quote, and the span it annotates (nil
+// when tracing is off; every Span method is nil-safe).
+type call struct {
+	id   string
+	span *obs.Span
+}
+
+// handler is a route handler under instrument.
+type handler func(w http.ResponseWriter, r *http.Request, c call)
+
 // instrument wraps a handler with the serving middleware stack:
 //
 //   - bounded in-flight limiter (when limited): a full server answers
 //     429 immediately instead of queueing without bound;
 //   - in-flight gauge http_inflight_requests;
 //   - request-id assignment/propagation (X-Request-Id, echoed on the
-//     reply; carried through the context, with the span, only when a
-//     trace or audit sink is configured, since those are its readers);
+//     reply and handed to the handler);
 //   - a trace span per request when Config.TraceLog is set, recording
 //     route, status and latency plus whatever the handler annotates;
 //   - request counter http_requests_total{route,code} and latency
@@ -59,7 +69,7 @@ const ledgerHeader = "X-Ledger"
 //
 // healthz and metrics pass limited=false so probes and scrapes keep
 // working while the server sheds decision load.
-func (s *Server) instrument(route string, limited bool, h http.HandlerFunc) http.Handler {
+func (s *Server) instrument(route string, limited bool, h handler) http.Handler {
 	// The route's series are resolved on first use, then reused.
 	reg := s.rec.Registry()
 	var latency obs.Lazy[obs.Histogram]
@@ -86,13 +96,8 @@ func (s *Server) instrument(route string, limited bool, h http.HandlerFunc) http
 		}
 		s.series.inflight.get().Set(float64(len(s.inflight)))
 
-		var span *obs.Span
-		if s.tracer != nil || s.auditW != nil {
-			ctx := obs.WithRequestID(r.Context(), reqID)
-			ctx, span = s.tracer.Start(ctx, "http_request", reqID)
-			span.SetString("route", route)
-			r = r.WithContext(ctx)
-		}
+		span := s.tracer.Start("http_request", reqID)
+		span.SetString("route", route)
 		sw := &statusWriter{ResponseWriter: w}
 		t0 := time.Now()
 		defer func() {
@@ -115,7 +120,7 @@ func (s *Server) instrument(route string, limited bool, h http.HandlerFunc) http
 			span.SetInt("code", int64(code))
 			span.End()
 		}()
-		h(sw, r)
+		h(sw, r, call{id: reqID, span: span})
 	})
 }
 

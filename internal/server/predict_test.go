@@ -230,8 +230,8 @@ func TestVerifyAuditDetectsAdvisedTampering(t *testing.T) {
 }
 
 // TestAdvisedDeterminism: advised requests — params, predictions, and
-// batches — serve byte-identical bodies across worker counts,
-// restarts, and a snapshot-restored replica.
+// batches — serve byte-identical bodies across fresh instances and a
+// snapshot-restored replica.
 func TestAdvisedDeterminism(t *testing.T) {
 	batch := fmt.Sprintf(`{"seed":7,"requests":[%s]}`, strings.Join(advisedPosts(), ","))
 	collect := func(t *testing.T, url string) [][]byte {
@@ -253,24 +253,21 @@ func TestAdvisedDeterminism(t *testing.T) {
 
 	var ref [][]byte
 	var donor *Server
-	for _, workers := range []int{1, 4, 8} {
-		for restart := 0; restart < 2; restart++ {
-			s, err := New(Config{Areas: conformanceAreas(), Workers: workers})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ts := httptest.NewServer(s.Handler())
-			got := collect(t, ts.URL)
-			ts.Close()
-			if ref == nil {
-				ref, donor = got, s
-				continue
-			}
-			for i := range got {
-				if !bytes.Equal(got[i], ref[i]) {
-					t.Errorf("workers=%d restart=%d reply %d diverged:\n%s\n%s",
-						workers, restart, i, got[i], ref[i])
-				}
+	for inst := 0; inst < 6; inst++ {
+		s, err := New(Config{Areas: conformanceAreas()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(s.Handler())
+		got := collect(t, ts.URL)
+		ts.Close()
+		if ref == nil {
+			ref, donor = got, s
+			continue
+		}
+		for i := range got {
+			if !bytes.Equal(got[i], ref[i]) {
+				t.Errorf("instance=%d reply %d diverged:\n%s\n%s", inst, i, got[i], ref[i])
 			}
 		}
 	}

@@ -10,7 +10,7 @@
 // Endpoints (see docs/SERVER.md for schemas and examples):
 //
 //	POST /v1/decide              one decision
-//	POST /v1/decide/batch        order-preserving parallel fan-out
+//	POST /v1/decide/batch        decisions in input order
 //	POST /v1/observe             stream one completed stop observation
 //	POST /v1/observe/batch       stream observations in input order
 //	PUT  /v1/areas/{id}/stats    swap an area's statistics
@@ -24,10 +24,10 @@
 //	GET  /healthz                liveness (bypasses the limiter)
 //	GET  /metrics                obs registry snapshot (Prometheus/JSON)
 //
-// Robustness: read/write timeouts on the listener, a deadline on the
-// batch fan-out, a bounded in-flight limiter returning 429 on
-// overload, graceful drain on shutdown, structured JSON errors, and
-// replies encoded before their header is sent.
+// Robustness: read/write timeouts on the listener, a bound on batch
+// size, a bounded in-flight limiter returning 429 on overload,
+// graceful drain on shutdown, structured JSON errors, and replies
+// encoded before their header is sent.
 //
 // Forensics: every request gets an X-Request-Id (assigned or
 // propagated); with a TraceLog configured each request emits a span
@@ -59,8 +59,6 @@ import (
 type Config struct {
 	// Addr is the listen address (default "127.0.0.1:8080").
 	Addr string
-	// Workers bounds the batch fan-out pool (0 = GOMAXPROCS).
-	Workers int
 	// MaxInflight bounds concurrently served /v1/* requests; excess
 	// requests get 429 (default 1024).
 	MaxInflight int
@@ -70,10 +68,6 @@ type Config struct {
 	// RootSeed seeds decision randomness when a request carries no seed
 	// (default 20140601, the repo-wide experiment seed).
 	RootSeed uint64
-	// RequestTimeout bounds a batch decide's fan-out, the one handler
-	// that waits on a context (default 10s); the socket timeouts bound
-	// every request.
-	RequestTimeout time.Duration
 	// ReadTimeout / WriteTimeout are the http.Server socket timeouts
 	// (defaults 10s / 15s).
 	ReadTimeout  time.Duration
@@ -126,9 +120,6 @@ type Config struct {
 	// exists anywhere, including on the serving mux.
 	PprofAddr string
 
-	// testDelay artificially delays decide handlers; used by drain and
-	// overload tests only.
-	testDelay time.Duration
 	// testHook, when set, runs inside every decide; tests use it to
 	// hold a known number of requests in flight simultaneously.
 	testHook func()
@@ -147,9 +138,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RootSeed == 0 {
 		c.RootSeed = 20140601
-	}
-	if c.RequestTimeout <= 0 {
-		c.RequestTimeout = 10 * time.Second
 	}
 	if c.ReadTimeout <= 0 {
 		c.ReadTimeout = 10 * time.Second

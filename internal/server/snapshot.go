@@ -226,7 +226,7 @@ type SnapshotRestoreResponse struct {
 
 // handleSnapshotGet serves GET /v1/snapshot: the checksummed state
 // plane of the running daemon.
-func (s *Server) handleSnapshotGet(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleSnapshotGet(w http.ResponseWriter, r *http.Request, _ call) {
 	data, err := EncodeSnapshot(s.StatePlane())
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "internal", "encode snapshot: "+err.Error())
@@ -242,7 +242,7 @@ func (s *Server) handleSnapshotGet(w http.ResponseWriter, r *http.Request) {
 // previously captured state plane. The body is the envelope exactly as
 // GET /v1/snapshot produced it; any integrity or validation failure
 // rejects the whole restore with serving state untouched.
-func (s *Server) handleSnapshotRestore(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleSnapshotRestore(w http.ResponseWriter, r *http.Request, _ call) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSnapshotBytes))
 	if err != nil {
 		writeError(w, http.StatusRequestEntityTooLarge, "too_large", "read snapshot: "+err.Error())
