@@ -54,14 +54,16 @@ perfbench:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 ## perfbench-smoke: run the benchmark's two serving workloads end to end
-## for 2 s each (about 25 s together on 2 vCPUs, plus the build), so its
-## own checks run on every change: the probe digest, the reply byte
-## check, the exact counters, zero sink drops and the audit replay. A
-## failed check exits non-zero; each run's full standard output and
-## error stay in the log.
+## for 2 s each, then paper_all for 1 s at its recorded seed (about 40 s
+## together on 2 vCPUs, plus the build), so its own checks run on every
+## change: the probe digest, the reply byte check, the exact counters,
+## zero sink drops, the audit replay, and the digest of every report
+## `idlereduce all` renders. A failed check exits non-zero; each run's
+## full standard output and error stay in the log.
 perfbench-smoke:
 	bash perfbench/run.sh --workload hot_decide --seed 1 --seconds 2 --trace 0
 	bash perfbench/run.sh --workload fleet_100k --seed 1 --seconds 2 --trace 0
+	bash perfbench/run.sh --workload paper_all --seed 20140601 --seconds 1 --trace 0
 
 ## fmt-check: fail when any file needs gofmt (CI's formatting gate).
 fmt-check:

@@ -289,9 +289,8 @@ func show(args []string, stdout io.Writer) error {
 	return nil
 }
 
-// replay runs a persisted policy over a trace through the event-driven
-// simulator with unit idling rate, so metered cents equal the abstract
-// idle-second costs the paper reasons in.
+// replay runs a persisted policy over a trace through the simulator and
+// prints its costs in the idle-second equivalents the paper reasons in.
 func replay(args []string, stdin io.Reader, stdout io.Writer) error {
 	fs := flag.NewFlagSet("replay", flag.ContinueOnError)
 	policyPath := fs.String("policy", "", "policy spec JSON")
@@ -320,8 +319,8 @@ func replay(args []string, stdin io.Reader, stdout io.Writer) error {
 	if sel, ok := pol.(skirental.Selector); ok {
 		skirental.RecordSelection(ctx, sel)
 	}
-	// Unit idling rate: OnlineCents/OfflineCents come out in idle-second
-	// equivalents, matching the pre-simulator replay output exactly.
+	// The simulator plays in seconds; a unit idling rate only satisfies
+	// its cost-ratio check.
 	costs := costmodel.CostRatio{IdlingCentsPerSec: 1, RestartCents: pol.B()}
 	res, err := simulator.RunContext(ctx, simulator.Config{
 		Costs:  costs,
@@ -333,17 +332,17 @@ func replay(args []string, stdin io.Reader, stdout io.Writer) error {
 	if *verbose {
 		for i, out := range res.Stops {
 			action := "drove off while idling"
-			if out.EngineOff {
+			if out.Restarted {
 				action = fmt.Sprintf("engine off at %.1f s", out.Threshold)
 			}
-			fmt.Fprintf(stdout, "stop %3d: %7.1f s  %-24s cost %7.2f\n", i+1, out.Length, action, out.OnlineCents)
+			fmt.Fprintf(stdout, "stop %3d: %7.1f s  %-24s cost %7.2f\n", i+1, out.Length, action, out.Online)
 		}
 	}
 	// Echo the seed so the report alone reproduces a randomized replay.
 	fmt.Fprintf(stdout, "seed %d\n", *seed)
 	fmt.Fprintf(stdout, "stops %d, restarts %d\n", len(stops), res.Restarts)
 	fmt.Fprintf(stdout, "online cost %.1f, offline %.1f, CR %.4f\n",
-		res.OnlineCents, res.OfflineCents, res.OnlineCents/res.OfflineCents)
+		res.OnlineSec, res.OfflineSec, res.OnlineSec/res.OfflineSec)
 	if rec != nil {
 		return writeSnapshot(rec.Snapshot(), *metrics, stdout)
 	}

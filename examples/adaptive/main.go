@@ -55,9 +55,9 @@ func main() {
 	lastChoice := policy.Choice()
 	fmt.Printf("stop %4d: playing %s (warmup)\n", 0, lastChoice)
 	for i, y := range stops {
-		x := policy.Threshold(rng)
-		online += skirental.OnlineCost(x, y, b)
-		offline += skirental.OfflineCost(y, b)
+		stop := skirental.Play(policy.Threshold(rng), y, b)
+		online += stop.Online
+		offline += stop.Opt
 		if err := policy.Observe(y); err != nil {
 			log.Fatal(err)
 		}

@@ -17,7 +17,7 @@
 //	internal/skirental  — policies, competitive analysis, the proposed selector
 //	internal/costmodel  — Appendix C break-even derivation
 //	internal/fleet      — synthetic NREL-substitute driving data
-//	internal/simulator  — event-driven engine/cost simulator
+//	internal/simulator  — plays policies over stop traces, costs in cents
 //	internal/analysis   — worst-case searches, region maps, sweeps
 //	internal/experiments— one driver per paper table/figure
 //

@@ -186,23 +186,27 @@ func (p *Policy) Observe(y float64) error {
 // < i). It returns the accumulated online and offline costs in
 // break-even-normalized units.
 func (p *Policy) Run(stops []float64, rng *rand.Rand) (online, offline float64, err error) {
-	return run(stops, p.cfg.B, func(y float64) float64 {
-		return skirental.OnlineCost(p.Threshold(rng), y, p.cfg.B)
+	return run(stops, func(y float64) (float64, float64) {
+		s := skirental.Play(p.Threshold(rng), y, p.cfg.B)
+		return s.Online, s.Opt
 	}, p.Observe)
 }
 
 // RunMean is Run with analytic per-stop expectations instead of sampled
 // thresholds (no Monte Carlo noise); useful for evaluation.
 func (p *Policy) RunMean(stops []float64) (online, offline float64, err error) {
-	return run(stops, p.cfg.B, p.MeanCostForStop, p.Observe)
+	return run(stops, func(y float64) (float64, float64) {
+		return p.MeanCostForStop(y), skirental.OfflineCost(y, p.cfg.B)
+	}, p.Observe)
 }
 
-// run is the play loop of every Run variant: pay cost(y) for each stop
-// against the offline min(y, b), then observe it.
-func run(stops []float64, b float64, cost func(y float64) float64, observe func(y float64) error) (online, offline float64, err error) {
+// run is the play loop of every Run variant: pay cost(y)'s online and
+// offline costs for each stop, summed left to right, then observe it.
+func run(stops []float64, cost func(y float64) (online, opt float64), observe func(y float64) error) (online, offline float64, err error) {
 	for _, y := range stops {
-		online += cost(y)
-		offline += skirental.OfflineCost(y, b)
+		on, opt := cost(y)
+		online += on
+		offline += opt
 		if err := observe(y); err != nil {
 			return online, offline, err
 		}

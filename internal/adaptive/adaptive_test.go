@@ -221,3 +221,33 @@ func TestRunAccountsCosts(t *testing.T) {
 		t.Errorf("online %v below offline %v", on, off)
 	}
 }
+
+// warmupTrace is 200 stops straddling B=28, with a stop of exactly B
+// and a 0-s stop.
+func warmupTrace() []float64 {
+	rng := rand.New(rand.NewPCG(5, 9))
+	stops := []float64{28, 0}
+	for len(stops) < 200 {
+		stops = append(stops, rng.Float64()*90)
+	}
+	return stops
+}
+
+// TestRunDuringWarmupEqualsTraceCost: before warming up the policy
+// plays N-Rand, so Run draws and sums exactly as skirental.TraceCost
+// does for N-Rand, and the totals agree bit for bit.
+func TestRunDuringWarmupEqualsTraceCost(t *testing.T) {
+	stops := warmupTrace()
+	p, err := New(Config{B: 28, Warmup: len(stops)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	on, off, err := p.Run(stops, testRNG())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantOn, wantOff := skirental.TraceCost(skirental.NewNRand(28), stops, testRNG())
+	if math.Float64bits(on) != math.Float64bits(wantOn) || math.Float64bits(off) != math.Float64bits(wantOff) {
+		t.Errorf("Run (%v, %v), TraceCost (%v, %v)", on, off, wantOn, wantOff)
+	}
+}

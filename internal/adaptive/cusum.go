@@ -182,7 +182,8 @@ func (dp *DriftPolicy) Observe(y float64) error {
 // Run plays the drift-resetting policy over a stop sequence (decision
 // before observation, as in Policy.Run).
 func (dp *DriftPolicy) Run(stops []float64, rng *rand.Rand) (online, offline float64, err error) {
-	return run(stops, dp.B(), func(y float64) float64 {
-		return skirental.OnlineCost(dp.Threshold(rng), y, dp.B())
+	return run(stops, func(y float64) (float64, float64) {
+		s := skirental.Play(dp.Threshold(rng), y, dp.B())
+		return s.Online, s.Opt
 	}, dp.Observe)
 }

@@ -179,3 +179,22 @@ func TestNewWithDriftDetectionErrors(t *testing.T) {
 		t.Error("want error for bad drift config")
 	}
 }
+
+// TestDriftPolicyRunDuringWarmupEqualsTraceCost: the drift-resetting
+// policy's Run sums the same Play outcomes as TraceCost while it still
+// plays N-Rand.
+func TestDriftPolicyRunDuringWarmupEqualsTraceCost(t *testing.T) {
+	stops := warmupTrace()
+	dp, err := NewWithDriftDetection(Config{B: 28, Warmup: len(stops)}, DriftConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	on, off, err := dp.Run(stops, testRNG())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantOn, wantOff := skirental.TraceCost(skirental.NewNRand(28), stops, testRNG())
+	if math.Float64bits(on) != math.Float64bits(wantOn) || math.Float64bits(off) != math.Float64bits(wantOff) {
+		t.Errorf("Run (%v, %v), TraceCost (%v, %v)", on, off, wantOn, wantOff)
+	}
+}

@@ -205,3 +205,55 @@ func TestPerStartComponentsMatchBreakdown(t *testing.T) {
 		t.Errorf("battery %v s vs breakdown %v s", battery/idling, bd.BatterySec)
 	}
 }
+
+// The wear a policy's restarts cost is their count times the per-start
+// helpers.
+func TestWearOfConventionalVehicle(t *testing.T) {
+	v := NewFordFusion2011(3.5, false)
+	starter, err := v.StarterCentsPerStart()
+	if err != nil {
+		t.Fatal(err)
+	}
+	battery, err := v.BatteryCentsPerStart()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 3 restarts: starter (55+115)*100/34000 and battery 230*100/(4*365*32.43) each.
+	wantStarter := 3 * (55.0 + 115.0) * 100 / 34000
+	if math.Abs(3*starter-wantStarter) > 1e-9 {
+		t.Errorf("starter %v want %v", 3*starter, wantStarter)
+	}
+	wantBattery := 3 * 230.0 * 100 / (4 * 365 * 32.43)
+	if math.Abs(3*battery-wantBattery) > 1e-9 {
+		t.Errorf("battery %v want %v", 3*battery, wantBattery)
+	}
+}
+
+func TestWearOfSSVHasNoStarterWear(t *testing.T) {
+	v := NewFordFusion2011(3.5, true)
+	starter, err := v.StarterCentsPerStart()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if starter != 0 {
+		t.Errorf("SSV starter wear %v", starter)
+	}
+	// A zero starter lifetime is irrelevant when the starter never wears.
+	v.StarterLifetimeStarts = 0
+	if _, err := v.StarterCentsPerStart(); err != nil {
+		t.Errorf("SSV with zero starter lifetime: %v", err)
+	}
+}
+
+func TestWearOfBadVehicle(t *testing.T) {
+	bad := NewFordFusion2011(3.5, false)
+	bad.StarterLifetimeStarts = 0
+	if _, err := bad.StarterCentsPerStart(); !errors.Is(err, ErrBadVehicle) {
+		t.Errorf("want ErrBadVehicle for zero starter lifetime, got %v", err)
+	}
+	bad2 := NewFordFusion2011(3.5, true)
+	bad2.BatteryWarrantyYears = 0
+	if _, err := bad2.BatteryCentsPerStart(); !errors.Is(err, ErrBadVehicle) {
+		t.Errorf("want ErrBadVehicle for zero warranty, got %v", err)
+	}
+}

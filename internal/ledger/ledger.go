@@ -5,18 +5,21 @@
 // A decision enters as a Pending entry (decision id, area, engine,
 // break-even interval B, the threshold actually drawn). When the
 // completed stop length y arrives with the same decision id, the entry
-// settles into a realized-cost record, the paper's eq. 3 and eq. 2
-// (skirental.OnlineCost and skirental.OfflineCost):
+// settles into a realized-cost record, the paper's eq. 3 and eq. 2 as
+// skirental.Play computes them:
 //
 //	online = min(y, T) + B·1[y ≥ T]   (idle until T, restart once reached)
 //	opt    = min(y, B)                (the offline clairvoyant's cost)
 //
 // and streams into a per-{area, engine} accumulator of the empirical
 // CR. The accumulator keeps exponentially-forgotten first and second
-// moments of (online, opt) pairs, so the ratio-of-means estimate
-// carries a delta-method variance band; a breach detector compares the
-// band against the engine's published worst-case bound and trips after
-// a configurable run of confidently-violating windows.
+// moments of (online, opt) pairs; at forgetting 1 its cost sums are
+// plain left-to-right float64 sums, the rule every play loop follows,
+// so they equal a simulator run's totals over the same draws bit for
+// bit. The ratio-of-means estimate carries a delta-method variance
+// band; a breach detector compares the band against the engine's
+// published worst-case bound and trips after a configurable run of
+// confidently-violating windows.
 //
 // Every number the ledger holds and reports is finite. A settle whose
 // costs would carry any running sum of its accumulator past float64's
@@ -389,15 +392,14 @@ func (l *Ledger) Settle(id string, stopSec float64, nowMS int64) (Outcome, error
 		l.counters.Orphaned++
 		return Outcome{}, fmt.Errorf("%w: decision %s expired before settling", ErrUnknownDecision, id)
 	}
-	online := skirental.OnlineCost(p.ThresholdSec, stopSec, p.B)
-	opt := skirental.OfflineCost(stopSec, p.B)
+	stop := skirental.Play(p.ThresholdSec, stopSec, p.B)
 	key := Key{Area: p.Area, Engine: p.Engine}
 	a := l.accums[key]
 	var next accum
 	if a != nil {
 		next = *a
 	}
-	next.add(l.cfg.Forgetting, online, opt)
+	next.add(l.cfg.Forgetting, stop.Online, stop.Opt)
 	if err := next.state(key).validate(); err != nil {
 		// The threshold plus the restart, or a square or running sum of
 		// the costs, leaves float64's range at a break-even interval
@@ -415,7 +417,7 @@ func (l *Ledger) Settle(id string, stopSec float64, nowMS int64) (Outcome, error
 	// A clock stepped back, or an entry restored from a host whose
 	// clock ran ahead, can settle "before" its issue; the join latency
 	// floors at zero rather than going negative.
-	out := Outcome{Pending: p, Online: online, Opt: opt, JoinMS: max(0, nowMS-p.IssuedUnixMS)}
+	out := Outcome{Pending: p, Online: stop.Online, Opt: stop.Opt, JoinMS: max(0, nowMS-p.IssuedUnixMS)}
 	if p.Bound > 0 {
 		a.bound = p.Bound // latest published bound wins
 	}

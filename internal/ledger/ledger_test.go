@@ -5,8 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"sync"
 	"testing"
+
+	"idlereduce/internal/costmodel"
+	"idlereduce/internal/dist"
+	"idlereduce/internal/simulator"
+	"idlereduce/internal/skirental"
 )
 
 func pend(id string, ms int64) Pending {
@@ -45,6 +51,45 @@ func TestRealizedCost(t *testing.T) {
 		if out.Online != c.online || out.Opt != c.opt {
 			t.Errorf("case %d: settle(b=%v, threshold=%v, stop=%v) = (%v,%v), want (%v,%v)",
 				i, c.b, c.th, c.stop, out.Online, out.Opt, c.online, c.opt)
+		}
+	}
+}
+
+// TestForgettingOneSumsEqualSimulator: a simulator run's draws,
+// settled through a ledger at forgetting 1, accumulate the run's totals
+// bit for bit, eq. 3 ties included (DET on a B-second stop, TOI on a
+// zero-length one): both play each stop through skirental.Play and sum
+// left to right.
+func TestForgettingOneSumsEqualSimulator(t *testing.T) {
+	const b = 28.0
+	d := dist.NewLogNormalMeanCV(30, 1.5)
+	rng := rand.New(rand.NewPCG(23, 29))
+	stops := make([]float64, 20_000)
+	for i := range stops {
+		stops[i] = d.Sample(rng)
+	}
+	stops[100], stops[200] = b, 0
+	costs := costmodel.CostRatio{IdlingCentsPerSec: 0.0258, RestartCents: 0.0258 * b}
+	for _, p := range []skirental.Policy{
+		skirental.NewNRand(b), skirental.NewDET(b), skirental.NewTOI(b), skirental.NewBDet(b, 11),
+	} {
+		res, err := simulator.Run(simulator.Config{Costs: costs, Policy: p}, stops, rand.New(rand.NewPCG(31, 37)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		l := New(Config{Forgetting: 1})
+		for i, s := range res.Stops {
+			id := fmt.Sprintf("d-%d", i)
+			if _, err := l.Issue(Pending{ID: id, Area: "a", Engine: p.Name(), B: b, ThresholdSec: s.Threshold}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := l.Settle(id, s.Length, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		a := l.State().Accums[0]
+		if math.Float64bits(a.SumOn) != math.Float64bits(res.OnlineSec) || math.Float64bits(a.SumOp) != math.Float64bits(res.OfflineSec) {
+			t.Errorf("%s: ledger sums (%v, %v), simulator totals (%v, %v)", p.Name(), a.SumOn, a.SumOp, res.OnlineSec, res.OfflineSec)
 		}
 	}
 }

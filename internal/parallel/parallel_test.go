@@ -55,15 +55,27 @@ func TestForEachFirstErrorCancels(t *testing.T) {
 		var ran atomic.Int64
 		err := ForEach(context.Background(), "t", 10_000, workers, func(ctx context.Context, i int) error {
 			ran.Add(1)
-			if i == 3 {
+			switch {
+			case i == 3:
 				return boom
+			case i > 3:
+				// Hold each later item until the error cancels the pool,
+				// so the count below does not depend on how fast the
+				// other workers drain the range.
+				select {
+				case <-ctx.Done():
+				case <-time.After(10 * time.Second):
+					t.Errorf("workers=%d: item %d never saw the pool cancelled", workers, i)
+				}
 			}
 			return nil
 		})
 		if !errors.Is(err, boom) {
 			t.Fatalf("workers=%d: err = %v, want wrapped boom", workers, err)
 		}
-		if n := ran.Load(); n >= 10_000 {
+		// Items 0–3 run; each worker can have claimed at most one more
+		// before the cancel lands.
+		if n := ran.Load(); n > int64(4+workers) {
 			t.Errorf("workers=%d: error did not cancel remaining items (ran %d)", workers, n)
 		}
 	}

@@ -30,7 +30,7 @@ const suiteB = 28.0
 // DefaultSuites returns the committed benchmark set — the serving hot
 // path from pure strategy derivation up through the full HTTP decide
 // stack, plus the two bulk producers (fleet generation and the
-// event-driven simulator). Names are stable compare keys: renaming one
+// simulator). Names are stable compare keys: renaming one
 // breaks the trajectory, so add new suites instead of repurposing old
 // names.
 func DefaultSuites() []Benchmark {
@@ -346,8 +346,8 @@ func DefaultSuites() []Benchmark {
 			},
 		},
 		{
-			// The event-driven simulator over a fixed 500-stop trace
-			// with the constrained policy.
+			// The simulator over a fixed 500-stop trace with the
+			// constrained policy.
 			Name: "simulator_run", Class: "throughput", Iters: 300,
 			Setup: func() (Op, func(), error) {
 				st, err := chicagoStats()

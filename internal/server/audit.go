@@ -144,10 +144,9 @@ const settleKind = "settle"
 
 // SettleRecord is one line of the ledger audit stream: a decision
 // joined to its realized stop. The realized cost pair is the paper's
-// eq. 2–3 (skirental.OnlineCost, skirental.OfflineCost) of the
-// recorded (b, threshold, stop), so every record is independently
-// re-derivable bit-for-bit — and the whole CR table can be rebuilt
-// from the log alone (`idlectl cr`).
+// eq. 2–3 (skirental.Play) of the recorded (b, threshold, stop), so
+// every record is independently re-derivable bit-for-bit — and the
+// whole CR table can be rebuilt from the log alone (`idlectl cr`).
 type SettleRecord struct {
 	// Kind is always "settle".
 	Kind     string `json:"kind"`
@@ -542,7 +541,8 @@ func replaySettleRecord(rec SettleRecord) string {
 	if rec.JoinMS < 0 {
 		return fmt.Sprintf("join latency %d is negative", rec.JoinMS)
 	}
-	online, opt := skirental.OnlineCost(rec.ThresholdSec, rec.StopSec, rec.B), skirental.OfflineCost(rec.StopSec, rec.B)
+	stop := skirental.Play(rec.ThresholdSec, rec.StopSec, rec.B)
+	online, opt := stop.Online, stop.Opt
 	if !rec.Eq3 {
 		online = strictOnlineCost(rec.B, rec.ThresholdSec, rec.StopSec)
 	}

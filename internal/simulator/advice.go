@@ -63,8 +63,8 @@ func (a *advisedAdapter) Threshold(rng *rand.Rand) float64 {
 // RunAdvised simulates an advised strategy over the stop sequence: the
 // predictor sees each stop's true length (and the previous one), then
 // the strategy draws its fallback threshold and applies its advice
-// rule, exactly as /v1/decide does. Everything else — engine state
-// machine, cost metering, observability — is the plain Run path.
+// rule, exactly as /v1/decide does. Everything else — playing each
+// stop, the cost totals, observability — is the plain Run path.
 func RunAdvised(cfg AdvisedConfig, stops []float64, rng *rand.Rand) (*Result, error) {
 	if cfg.Advised == nil {
 		return nil, fmt.Errorf("%w: nil advised strategy", ErrConfig)

@@ -72,7 +72,7 @@ func RunMultiState(cfg MultiStateConfig, stops []float64, rng *rand.Rand) (*Mult
 	if cfg.Policy == nil {
 		return nil, fmt.Errorf("%w: nil policy", ErrMultiState)
 	}
-	if cfg.CentsPerCostUnit <= 0 || math.IsNaN(cfg.CentsPerCostUnit) {
+	if !(cfg.CentsPerCostUnit > 0) || math.IsInf(cfg.CentsPerCostUnit, 1) {
 		return nil, fmt.Errorf("%w: cents per cost unit %v", ErrMultiState, cfg.CentsPerCostUnit)
 	}
 	prob := cfg.Policy.Problem()

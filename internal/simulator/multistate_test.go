@@ -108,6 +108,9 @@ func TestRunMultiStateValidation(t *testing.T) {
 	if _, err := RunMultiState(MultiStateConfig{Policy: pol}, []float64{1}, simRNG()); !errors.Is(err, ErrMultiState) {
 		t.Error("want ErrMultiState for zero rate")
 	}
+	if _, err := RunMultiState(MultiStateConfig{Policy: pol, CentsPerCostUnit: math.Inf(1)}, []float64{1}, simRNG()); !errors.Is(err, ErrMultiState) {
+		t.Error("want ErrMultiState for infinite rate")
+	}
 	if _, err := RunMultiState(MultiStateConfig{Policy: pol, CentsPerCostUnit: 1}, []float64{-1}, simRNG()); !errors.Is(err, ErrMultiState) {
 		t.Error("want ErrMultiState for negative stop")
 	}

@@ -39,13 +39,13 @@ func TestRunContextPublishesMetrics(t *testing.T) {
 	if math.Abs(reg.Histogram("sim_offline_cents").Sum()-res.OfflineCents) > 1e-9 {
 		t.Errorf("offline histogram sum mismatch")
 	}
-	// Transition counters mirror the state machine: every stop begins one
-	// idling phase; shut-offs pair with restarts.
+	// Transition counters: every stop begins one idling phase;
+	// shut-offs pair with restarts.
 	for kind, want := range map[string]int64{
-		EvStop.String():      int64(len(stops)),
-		EvEngineOff.String(): int64(res.Restarts),
-		EvRestart.String():   int64(res.Restarts),
-		EvDriveOn.String():   int64(len(stops) - res.Restarts),
+		"stop":       int64(len(stops)),
+		"engine-off": int64(res.Restarts),
+		"restart":    int64(res.Restarts),
+		"drive-on":   int64(len(stops) - res.Restarts),
 	} {
 		if got := reg.Counter(obs.L("sim_transition_total", "kind", kind)).Value(); got != want {
 			t.Errorf("sim_transition_total{kind=%q} = %d want %d", kind, got, want)

@@ -1,3 +1,15 @@
+// Package simulator executes idling policies on concrete drive cycles
+// and accounts their costs in real monetary units.
+//
+// The skirental package reasons in break-even-normalized units (idling
+// costs 1 per second, a restart costs B). The simulator closes the loop
+// back to the physical model of Section 2 and Appendix C: it draws each
+// stop's threshold from the policy, plays the stop through
+// skirental.Play, sums the outcomes in seconds, and prices the totals
+// in cents with a costmodel.CostRatio once, at the end. A run's totals
+// therefore equal skirental.TraceCost's on the same draws, and a
+// ledger's forgetting-1 sums over them, bit for bit; the tests assert
+// both.
 package simulator
 
 import (
@@ -9,7 +21,6 @@ import (
 	"math/rand/v2"
 
 	"idlereduce/internal/costmodel"
-	"idlereduce/internal/numeric"
 	"idlereduce/internal/obs"
 	"idlereduce/internal/skirental"
 )
@@ -17,16 +28,12 @@ import (
 // Config parameterizes a simulation run.
 type Config struct {
 	// Costs supplies the idling rate (cents/s) and restart cost (cents).
-	// Its ratio B must match the policy's break-even interval.
+	// Its ratio B must match the policy's break-even interval to within
+	// 1e-6; the run plays at the policy's B, and the rate prices its
+	// totals in cents.
 	Costs costmodel.CostRatio
 	// Policy decides when the engine is shut off at each stop.
 	Policy skirental.Policy
-	// DriveGapSec is the driving time inserted between stops on the
-	// event timeline (cost-neutral; purely for realistic logs). Zero
-	// uses a 60 s default.
-	DriveGapSec float64
-	// RecordEvents enables the per-transition event log.
-	RecordEvents bool
 }
 
 // ErrConfig reports an invalid configuration.
@@ -45,69 +52,52 @@ func (c Config) validate(pol thresholder) error {
 	if pol == nil {
 		return fmt.Errorf("%w: nil policy", ErrConfig)
 	}
-	if c.Costs.IdlingCentsPerSec <= 0 || c.Costs.RestartCents < 0 {
+	rate, restart := c.Costs.IdlingCentsPerSec, c.Costs.RestartCents
+	if !(rate > 0) || math.IsInf(rate, 1) || !(restart >= 0) || math.IsInf(restart, 1) {
 		return fmt.Errorf("%w: costs %+v", ErrConfig, c.Costs)
 	}
 	b := c.Costs.B()
-	if math.Abs(b-pol.B()) > 1e-6*b {
+	if math.IsInf(b, 1) || !(math.Abs(b-pol.B()) <= 1e-6*b) {
 		return fmt.Errorf("%w: cost ratio B=%v does not match policy B=%v", ErrConfig, b, pol.B())
-	}
-	if c.DriveGapSec < 0 {
-		return fmt.Errorf("%w: negative drive gap", ErrConfig)
 	}
 	return nil
 }
 
-// StopOutcome records one simulated stop.
+// StopOutcome records one simulated stop: its length, the drawn
+// threshold, and the stop as skirental.Play played it at the policy's
+// B.
 type StopOutcome struct {
 	// Length is the stop length in seconds.
 	Length float64
 	// Threshold is the policy's drawn idling threshold.
 	Threshold float64
-	// EngineOff reports whether the engine was shut off (and hence
-	// restarted when driving on).
-	EngineOff bool
-	// IdleSec is the time spent idling during this stop.
-	IdleSec float64
-	// OnlineCents is the metered policy cost of the stop.
-	OnlineCents float64
-	// OfflineCents is the clairvoyant cost of the stop.
-	OfflineCents float64
+	skirental.Stop
 }
 
 // Result aggregates a simulation run.
 type Result struct {
 	// Stops holds the per-stop outcomes, in input order.
 	Stops []StopOutcome
-	// Events is the transition log (when Config.RecordEvents).
-	Events []*Event
-	// OnlineCents and OfflineCents are metered totals.
+	// OnlineSec and OfflineSec are the stops' eq. 3 and eq. 2 costs in
+	// idle-second equivalents, summed left to right.
+	OnlineSec  float64
+	OfflineSec float64
+	// OnlineCents and OfflineCents are OnlineSec and OfflineSec times
+	// Config.Costs.IdlingCentsPerSec.
 	OnlineCents  float64
 	OfflineCents float64
 	// IdleSec is total idling time; Restarts counts engine restarts.
 	IdleSec  float64
 	Restarts int
-	// DurationSec is the simulated wall-clock length of the cycle.
-	DurationSec float64
 }
 
 // CR returns the realized competitive ratio of the run (1 for a
 // zero-cost cycle).
 func (r *Result) CR() float64 {
-	if r.OfflineCents == 0 {
+	if r.OfflineSec == 0 {
 		return 1
 	}
-	return r.OnlineCents / r.OfflineCents
-}
-
-// FuelSavedCentsVsNEV returns the metered saving relative to never
-// turning the engine off on the same stops.
-func (r *Result) FuelSavedCentsVsNEV(c Config) float64 {
-	var nev numeric.KahanSum
-	for _, s := range r.Stops {
-		nev.Add(s.Length * c.Costs.IdlingCentsPerSec)
-	}
-	return nev.Sum() - r.OnlineCents
+	return r.OnlineSec / r.OfflineSec
 }
 
 // Run simulates the policy over the stop sequence. Randomized policies
@@ -137,123 +127,63 @@ func run(ctx context.Context, cfg Config, pol thresholder, stops []float64, rng 
 			slog.String("policy", pol.Name()),
 			slog.Int("stops", len(stops)))()
 	}
-	gap := cfg.DriveGapSec
-	if gap == 0 {
-		gap = 60
-	}
-	idleRate := cfg.Costs.IdlingCentsPerSec
-	restart := cfg.Costs.RestartCents
-	b := cfg.Costs.B()
-
-	eng := &engine{state: Driving, record: cfg.RecordEvents}
+	rate := cfg.Costs.IdlingCentsPerSec
+	b := pol.B()
 	res := &Result{Stops: make([]StopOutcome, 0, len(stops))}
-	var online, offline numeric.KahanSum
-
 	for i, y := range stops {
 		if y < 0 || math.IsNaN(y) {
 			return nil, fmt.Errorf("%w: stop %d has length %v", ErrConfig, i, y)
-		}
-		eng.clock += gap
-		eng.stop = i
-		if err := eng.beginStop(); err != nil {
-			return nil, err
 		}
 		x := pol.Threshold(rng)
 		if x < 0 || math.IsNaN(x) {
 			return nil, fmt.Errorf("simulator: policy %q drew invalid threshold %v", pol.Name(), x)
 		}
-
-		out := StopOutcome{Length: y, Threshold: x}
-		if y < x {
-			// Drove off before the threshold: pure idling.
-			out.IdleSec = y
-			eng.clock += y
-			if _, err := eng.driveOn(); err != nil {
-				return nil, err
-			}
-		} else {
-			// Idled until the threshold, shut off, restarted on departure.
-			out.IdleSec = x
-			out.EngineOff = true
-			eng.clock += x
-			if err := eng.shutOff(); err != nil {
-				return nil, err
-			}
-			eng.clock += y - x
-			restarted, err := eng.driveOn()
-			if err != nil {
-				return nil, err
-			}
-			if !restarted {
-				return nil, fmt.Errorf("simulator: engine reported no restart after shut-off")
-			}
+		out := StopOutcome{Length: y, Threshold: x, Stop: skirental.Play(x, y, b)}
+		res.OnlineSec += out.Online
+		res.OfflineSec += out.Opt
+		res.IdleSec += out.Idle
+		if out.Restarted {
 			res.Restarts++
 		}
-		out.OnlineCents = out.IdleSec * idleRate
-		if out.EngineOff {
-			out.OnlineCents += restart
-		}
-		out.OfflineCents = skirental.OfflineCost(y, b) * idleRate
-		online.Add(out.OnlineCents)
-		offline.Add(out.OfflineCents)
-		res.IdleSec += out.IdleSec
 		res.Stops = append(res.Stops, out)
 		if rec.On() {
-			recordStop(rec, out)
+			recordStop(rec, out, rate)
 		}
 	}
-	res.OnlineCents = online.Sum()
-	res.OfflineCents = offline.Sum()
-	res.DurationSec = eng.clock
-	res.Events = eng.events
+	res.OnlineCents = res.OnlineSec * rate
+	res.OfflineCents = res.OfflineSec * rate
 	if rec.On() {
 		recordRun(rec, res)
 	}
 	return res, nil
 }
 
-// recordStop publishes one stop's outcome to the sink.
-func recordStop(rec *obs.Recorder, out StopOutcome) {
+// recordStop publishes one stop's outcome to the sink, its costs priced
+// at the idling rate.
+func recordStop(rec *obs.Recorder, out StopOutcome, rate float64) {
 	rec.Add("sim_stops_total", 1)
-	if out.EngineOff {
+	if out.Restarted {
 		rec.Add("sim_engine_off_total", 1)
 	} else {
 		rec.Add("sim_drive_on_idling_total", 1)
 	}
 	rec.Observe("sim_stop_len_sec", out.Length)
 	rec.Observe("sim_threshold_sec", out.Threshold)
-	rec.Observe("sim_idle_sec", out.IdleSec)
-	rec.Observe("sim_online_cents", out.OnlineCents)
-	rec.Observe("sim_offline_cents", out.OfflineCents)
+	rec.Observe("sim_idle_sec", out.Idle)
+	rec.Observe("sim_online_cents", out.Online*rate)
+	rec.Observe("sim_offline_cents", out.Opt*rate)
 }
 
-// recordRun publishes run totals and the engine transition counts. The
-// transition counts are derivable from the state machine's structure
-// (every stop is Driving -> Idling, every shut-off is followed by a
-// restart), so they stay correct whether or not the event log is on.
+// recordRun publishes run totals and the engine transition counts,
+// which follow from the stop and restart counts: every stop begins
+// idling, and every shut-off ends in a restart while every other stop
+// drives on idling.
 func recordRun(rec *obs.Recorder, res *Result) {
 	n := int64(len(res.Stops))
 	restarts := int64(res.Restarts)
-	rec.Add(obs.L("sim_transition_total", "kind", EvStop.String()), n)
-	rec.Add(obs.L("sim_transition_total", "kind", EvEngineOff.String()), restarts)
-	rec.Add(obs.L("sim_transition_total", "kind", EvRestart.String()), restarts)
-	rec.Add(obs.L("sim_transition_total", "kind", EvDriveOn.String()), n-restarts)
+	rec.Add(obs.L("sim_transition_total", "kind", "stop"), n)
+	rec.Add(obs.L("sim_transition_total", "kind", "engine-off"), restarts)
+	rec.Add(obs.L("sim_transition_total", "kind", "restart"), restarts)
+	rec.Add(obs.L("sim_transition_total", "kind", "drive-on"), n-restarts)
 	rec.Set("sim_last_run_cr", res.CR())
-	rec.Set("sim_last_run_duration_sec", res.DurationSec)
-}
-
-// CompareOnTrace runs several policies on the same stop sequence with
-// independent but identically seeded randomness and returns the results
-// keyed by policy name.
-func CompareOnTrace(costs costmodel.CostRatio, policies []skirental.Policy, stops []float64, seed uint64) (map[string]*Result, error) {
-	out := make(map[string]*Result, len(policies))
-	for _, p := range policies {
-		rng := rand.New(rand.NewPCG(seed, 0x5bf0_3635))
-		res, err := Run(Config{Costs: costs, Policy: p}, stops, rng)
-		if err != nil {
-			return nil, fmt.Errorf("policy %s: %w", p.Name(), err)
-		}
-		out[p.Name()] = res
-	}
-	return out, nil
 }

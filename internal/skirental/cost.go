@@ -35,11 +35,34 @@ func OfflineCost(y, b float64) float64 {
 
 // OnlineCost is eq. 3: the cost of idling threshold x on a stop of
 // length y.
-func OnlineCost(x, y, b float64) float64 {
+func OnlineCost(x, y, b float64) float64 { return Play(x, y, b).Online }
+
+// Stop is one stop of length y played under idling threshold x: what
+// the engine did, and the stop's eq. 3 and eq. 2 costs in idle-second
+// equivalents.
+type Stop struct {
+	// Idle is the time spent idling: the whole stop when it ended
+	// before the threshold, else the threshold.
+	Idle float64
+	// Restarted reports that the stop reached the threshold, so the
+	// engine was shut off there and restarted on departure.
+	Restarted bool
+	// Online is eq. 3: Idle, plus B when Restarted.
+	Online float64
+	// Opt is eq. 2: the clairvoyant min(y, B).
+	Opt float64
+}
+
+// Play plays one stop of length y under idling threshold x at
+// break-even interval b. Every loop that plays a policy over stops
+// takes its per-stop costs from here and sums them left to right in
+// plain float64, so the simulator, the adaptive play loop and the
+// ledger's forgetting-1 sums agree bit for bit.
+func Play(x, y, b float64) Stop {
 	if y < x {
-		return y
+		return Stop{Idle: y, Online: y, Opt: OfflineCost(y, b)}
 	}
-	return x + b
+	return Stop{Idle: x, Restarted: true, Online: x + b, Opt: OfflineCost(y, b)}
 }
 
 // CompetitiveRatio is eq. 4: cost_online / cost_offline for one stop.

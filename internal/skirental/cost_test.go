@@ -38,6 +38,26 @@ func TestOnlineCost(t *testing.T) {
 	}
 }
 
+func TestPlay(t *testing.T) {
+	inf := math.Inf(1)
+	cases := []struct {
+		x, y float64
+		want Stop
+	}{
+		{28, 10, Stop{Idle: 10, Online: 10, Opt: 10}},                   // drove off before threshold
+		{28, 28, Stop{Idle: 28, Restarted: true, Online: 56, Opt: 28}},  // a stop of exactly x restarts
+		{10, 100, Stop{Idle: 10, Restarted: true, Online: 38, Opt: 28}}, // idled 10, paid restart
+		{0, 0, Stop{Restarted: true, Online: 28}},                       // TOI pays B even on a 0-s stop
+		{5, 0, Stop{}}, // 0-s stop under a positive threshold
+		{inf, 1000, Stop{Idle: 1000, Online: 1000, Opt: 28}}, // NEV idles through
+	}
+	for _, c := range cases {
+		if got := Play(c.x, c.y, testB); got != c.want {
+			t.Errorf("Play(%v, %v) = %+v want %+v", c.x, c.y, got, c.want)
+		}
+	}
+}
+
 func TestCompetitiveRatioWorstCaseDET(t *testing.T) {
 	// Classic result: threshold B has cr exactly 2 at y = B (eq. 6).
 	if got := CompetitiveRatio(testB, testB, testB); got != 2 {

@@ -71,32 +71,32 @@ func ExpectedCR(p Policy, d dist.Distribution) float64 {
 }
 
 // TraceCost evaluates a policy on a concrete stop sequence, drawing a
-// fresh threshold per stop, and returns total online and offline cost.
-// This is the Monte Carlo counterpart of ExpectedCost used by the
-// simulator and tests.
+// fresh threshold per stop, and returns total online and offline cost:
+// the Monte Carlo counterpart of ExpectedCost. It plays each stop
+// through Play and sums left to right, so a simulator run with the same
+// draws reports these totals bit for bit.
 func TraceCost(p Policy, stops []float64, rng *rand.Rand) (online, offline float64) {
-	var on, off numeric.KahanSum
 	b := p.B()
 	for _, y := range stops {
-		x := p.Threshold(rng)
-		on.Add(OnlineCost(x, y, b))
-		off.Add(OfflineCost(y, b))
+		s := Play(p.Threshold(rng), y, b)
+		online += s.Online
+		offline += s.Opt
 	}
-	return on.Sum(), off.Sum()
+	return online, offline
 }
 
 // TraceMeanCost evaluates a policy on a stop sequence using analytic
 // per-stop expectations (no sampling noise) and returns total expected
-// online and offline cost. Per-vehicle CRs in the Figure 4 experiment are
-// ratios of these totals.
+// online and offline cost, summed left to right as TraceCost sums.
+// Per-vehicle CRs in the Figure 4 experiment are ratios of these
+// totals.
 func TraceMeanCost(p Policy, stops []float64) (online, offline float64) {
-	var on, off numeric.KahanSum
 	b := p.B()
 	for _, y := range stops {
-		on.Add(p.MeanCostForStop(y))
-		off.Add(OfflineCost(y, b))
+		online += p.MeanCostForStop(y)
+		offline += OfflineCost(y, b)
 	}
-	return on.Sum(), off.Sum()
+	return online, offline
 }
 
 // TraceCR returns the expected competitive ratio of p on the stop

@@ -31,23 +31,38 @@ func FuzzEstimateStats(f *testing.F) {
 	})
 }
 
-// FuzzOnlineCostInvariant: cost_online >= cost_offline for every finite
-// non-negative pair, and cost functions never return NaN on valid input.
+// FuzzOnlineCostInvariant: for every finite non-negative stop and
+// threshold and positive finite B, Play's costs are OnlineCost's and
+// OfflineCost's bit for bit, the online cost is the idle time plus B
+// exactly when the engine restarted, and it is never below the offline
+// cost, with no tolerance.
 func FuzzOnlineCostInvariant(f *testing.F) {
-	f.Add(0.0, 0.0)
-	f.Add(28.0, 28.0)
-	f.Add(1e300, 5.0)
-	f.Fuzz(func(t *testing.T, x, y float64) {
-		if math.IsNaN(x) || math.IsNaN(y) || x < 0 || y < 0 {
+	f.Add(0.0, 0.0, testB)
+	f.Add(28.0, 28.0, testB)
+	f.Add(1e300, 5.0, testB)
+	f.Add(0.0, 0.0, 5e-324)
+	f.Add(1e308, 1e308, 1e308)
+	f.Fuzz(func(t *testing.T, x, y, b float64) {
+		if math.IsNaN(x) || math.IsNaN(y) || x < 0 || y < 0 || !(b > 0) || math.IsInf(b, 1) {
 			return
 		}
-		on := OnlineCost(x, y, testB)
-		off := OfflineCost(y, testB)
-		if math.IsNaN(on) || math.IsNaN(off) {
-			t.Fatalf("NaN cost for x=%v y=%v", x, y)
+		s := Play(x, y, b)
+		on, off := OnlineCost(x, y, b), OfflineCost(y, b)
+		if math.Float64bits(s.Online) != math.Float64bits(on) || math.Float64bits(s.Opt) != math.Float64bits(off) {
+			t.Fatalf("Play(%v, %v, %v) = %+v, eq. 3 and eq. 2 give (%v, %v)", x, y, b, s, on, off)
 		}
-		if on < off-1e-9 {
-			t.Fatalf("online %v below offline %v (x=%v y=%v)", on, off, x, y)
+		want := s.Idle
+		if s.Restarted {
+			want += b
+		}
+		if math.Float64bits(s.Online) != math.Float64bits(want) {
+			t.Fatalf("Play(%v, %v, %v) = %+v: online is not idle + B·restarted", x, y, b, s)
+		}
+		if math.IsNaN(s.Online) || math.IsNaN(s.Opt) {
+			t.Fatalf("NaN cost for x=%v y=%v b=%v", x, y, b)
+		}
+		if s.Online < s.Opt {
+			t.Fatalf("online %v below offline %v (x=%v y=%v b=%v)", s.Online, s.Opt, x, y, b)
 		}
 	})
 }
